@@ -102,6 +102,8 @@ def cmd_solve(args) -> int:
         print("s UNSATISFIABLE")
         return 0
     print("s UNKNOWN")
+    if out.solver_stderr:
+        print(f"external solver: {out.solver_stderr.strip()}", file=sys.stderr)
     return EX_UNKNOWN
 
 

@@ -26,7 +26,7 @@ from .lattice import (
     StripeWindow,
     TriangleRegion,
 )
-from .triangles import EquilateralTriangle, apex_candidates, enumerate_triangles
+from .triangles import EquilateralTriangle, enumerate_triangles
 
 
 class CertificateError(ValueError):
@@ -70,7 +70,7 @@ def color_count(c: Coloring) -> int:
     return len(set(c.assignment.values()))
 
 
-def _check_window(points, color_of, member_color, num_colors):
+def _check_window(points, color_of, member_color):
     """Shared pair-based check.
 
     points: list of LatticePoint to scan pairs over; color_of(p) -> color;
@@ -126,7 +126,7 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
             out[inside] = grid[aa[inside], bb[inside]]
             return out
 
-        witness = _check_window(list(region.points()), c.color_of, member_color, c.num_colors)
+        witness = _check_window(list(region.points()), c.color_of, member_color)
         return (witness is None, witness)
 
     if isinstance(region, StripeWindow):
@@ -142,7 +142,7 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
             out[inside] = grid[aa[inside] - x0, bb[inside]]
             return out
 
-        witness = _check_window(list(region.points()), c.color_of, member_color, c.num_colors)
+        witness = _check_window(list(region.points()), c.color_of, member_color)
         return (witness is None, witness)
 
     if isinstance(region, PeriodicStripe):
@@ -159,7 +159,7 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
             out[inside] = block[aa[inside] % p, bb[inside]]
             return out
 
-        witness = _check_window(window, c.color_of, member_color, c.num_colors)
+        witness = _check_window(window, c.color_of, member_color)
         return (witness is None, witness)
 
     raise TypeError(f"unsupported region {region!r}")
@@ -211,16 +211,22 @@ def read_certificate(text: str) -> Coloring:
     if len(lines) < 3:
         raise CertificateError("truncated certificate")
     region_parts = lines[1].split()
-    if region_parts[:2] == ["region", "triangle"] and len(region_parts) == 3:
-        region: Region = TriangleRegion(int(region_parts[2]))
-    elif region_parts[:2] == ["region", "stripe"] and len(region_parts) == 5 and region_parts[3] == "period":
-        region = PeriodicStripe(int(region_parts[2]), int(region_parts[4]))
-    else:
-        raise CertificateError(f"bad region line: {lines[1]!r}")
+    try:
+        if region_parts[:2] == ["region", "triangle"] and len(region_parts) == 3:
+            region: Region = TriangleRegion(int(region_parts[2]))
+        elif region_parts[:2] == ["region", "stripe"] and len(region_parts) == 5 and region_parts[3] == "period":
+            region = PeriodicStripe(int(region_parts[2]), int(region_parts[4]))
+        else:
+            raise ValueError("unknown region")
+    except ValueError as e:  # int() and the region constructors raise ValueError
+        raise CertificateError(f"bad region line: {lines[1]!r} ({e})") from e
     colors_parts = lines[2].split()
-    if colors_parts[0] != "colors" or len(colors_parts) != 2:
-        raise CertificateError(f"bad colors line: {lines[2]!r}")
-    num_colors = int(colors_parts[1])
+    try:
+        if colors_parts[0] != "colors" or len(colors_parts) != 2:
+            raise ValueError("expected 'colors <count>'")
+        num_colors = int(colors_parts[1])
+    except ValueError as e:
+        raise CertificateError(f"bad colors line: {lines[2]!r} ({e})") from e
     if num_colors < 1:
         raise CertificateError("colors must be positive")
     assignment: dict[LatticePoint, int] = {}
@@ -243,4 +249,8 @@ def read_certificate(text: str) -> Coloring:
         if not (0 <= col < num_colors):
             raise CertificateError(f"color out of range: {ln!r}")
         assignment[p] = col
+    # every point is in the region and distinct, so a short count means a gap;
+    # checking it first keeps a huge declared region from being enumerated
+    if len(assignment) != region.size():
+        raise CertificateError("partial coloring")
     return Coloring(region, assignment, num_colors)

@@ -24,11 +24,9 @@ construction time, never assumed from the geometry.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import Coloring, color_count, is_proper
+from .coloring import Coloring, is_proper
 from .lattice import LatticePoint, PeriodicStripe, TriangleRegion
 
 
@@ -90,7 +88,7 @@ def stripe_partition_coloring(k: int, tri_coloring: Coloring) -> Coloring:
     return coloring
 
 
-def _band_palettes(n: int, w: int, d: int):
+def _band_palettes(n: int, d: int):
     """Layout shared by banded_coloring and its color-count bound."""
     m = n - 1
     c0 = m - d // 2  # leftmost middle column (doubled coordinate); ties leftward
@@ -118,7 +116,7 @@ def banded_coloring(n: int, base_block: Coloring, w: int = 6, d: int = 0,
         raise ValueError("d must be nonnegative")
     kb = base_block.num_colors
     period = base_block.region.period
-    m, c0 = _band_palettes(n, w, d)
+    m, c0 = _band_palettes(n, d)
     middle = {c0 + i: i for i in range(d)}  # doubled column coord -> color
 
     assignment: dict[LatticePoint, int] = {}
@@ -150,18 +148,6 @@ def banded_coloring(n: int, base_block: Coloring, w: int = 6, d: int = 0,
         if not ok:
             raise ConstructionError(f"banded coloring improper at d={d}", witness)
     return coloring
-
-
-def spacer_seed(w: int) -> int:
-    """Search seed for the spacer width, from the planar separation bound.
-
-    Two regions bounded by 60-degree lines admit no crossing equilateral
-    triangle once their horizontal gap exceeds 4/3 of the region width; in
-    column units (spacing 1/2) that is ceil((4/3) * w / (1/2)) applied to the
-    band width.  This is only a starting guess; the returned d is certified by
-    the checker.
-    """
-    return math.ceil(4 * w / 3 / 0.5)
 
 
 def minimal_spacer(n: int, base_block: Coloring, w: int = 6,

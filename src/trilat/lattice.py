@@ -121,10 +121,6 @@ class PeriodicStripe:
 Region = TriangleRegion | StripeWindow | PeriodicStripe
 
 
-def contains(region: Region, p) -> bool:
-    return region.contains(p)
-
-
 def symmetries(n: int) -> list[Callable[[LatticePoint], LatticePoint]]:
     """The six maps of the dihedral symmetry group of T_n, identity first."""
     if n < 1:

@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .coloring import Coloring, is_proper, stripe_span_bound
 from .lattice import LatticePoint, PeriodicStripe, Region, StripeWindow, TriangleRegion
-from .triangles import enumerate_triangles
+from .triangles import triangle_ranks
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -49,23 +51,22 @@ class SolveOutcome:
     status: str
     coloring: Optional[Coloring] = None
     stats: SolveStats = field(default_factory=SolveStats)
+    solver_stderr: str = ""  # external solver's error output, when it gave no verdict
 
 
 class _Csp:
     """Not-all-equal / not-equal constraint system over 0..nvars-1."""
 
-    def __init__(self, nvars: int, ternary, binary):
+    def __init__(self, nvars: int, ternary: np.ndarray, binary: np.ndarray):
         self.nvars = nvars
-        self.ternary = [tuple(t) for t in ternary]
-        self.binary = [tuple(b) for b in binary]
         # per variable: ternary constraints as (other1, other2), binary as other
         self.tri_of = [[] for _ in range(nvars)]
         self.bin_of = [[] for _ in range(nvars)]
-        for (i, j, k) in self.ternary:
+        for (i, j, k) in ternary.tolist():
             self.tri_of[i].append((j, k))
             self.tri_of[j].append((i, k))
             self.tri_of[k].append((i, j))
-        for (i, j) in self.binary:
+        for (i, j) in binary.tolist():
             self.bin_of[i].append(j)
             self.bin_of[j].append(i)
         self.degree = [len(self.tri_of[v]) + len(self.bin_of[v]) for v in range(nvars)]
@@ -180,11 +181,30 @@ def _solve_csp(csp: _Csp, K: int, budget: Budget) -> tuple[str, Optional[list[in
     return (status, None, stats)
 
 
-def _finite_csp(region: Region):
-    pts = sorted(region.points(), key=lambda p: (p.b, p.a))
-    index = {p: i for i, p in enumerate(pts)}
-    ternary = [(index[t.p1], index[t.p2], index[t.p3]) for t in enumerate_triangles(region)]
-    return pts, _Csp(len(pts), ternary, [])
+def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndarray]:
+    """The coloring constraints of a region: (points, ternary, binary).
+
+    Variables are point ranks in `points`, the region's points in (b, a) order
+    (for a periodic stripe, its fundamental domain; there rank = b * period + a).
+    A ternary row (i, j, k) is a triangle that must not be monochromatic, a
+    binary row (i, j) requires different colors.  A finite region has one
+    ternary row per triangle in enumeration order and no binary rows.  A
+    periodic stripe is read off a window that sees a translate of every
+    triangle: a triangle whose vertices collapse to two cells modulo the period
+    becomes a binary row.  None collapses to a single cell, which would be a
+    contradiction: a cell fixes the row, and no triangle has all three
+    vertices in one row.  Periodic rows are sorted and deduplicated.
+    """
+    if not isinstance(region, PeriodicStripe):
+        return list(region.points()), triangle_ranks(region), np.empty((0, 2), dtype=np.int64)
+    k, period = region.k, region.period
+    width = period + stripe_span_bound(k)
+    cell = np.arange(k)[:, None] * period + np.arange(width) % period
+    cells = np.sort(cell.ravel()[triangle_ranks(StripeWindow(k, 0, width - 1))], axis=1)
+    distinct = (cells[:, 0] != cells[:, 1]) & (cells[:, 1] != cells[:, 2])
+    ternary = np.unique(cells[distinct], axis=0).reshape(-1, 3)
+    binary = np.unique(cells[~distinct][:, [0, 2]], axis=0).reshape(-1, 2)
+    return list(region.fundamental_domain()), ternary, binary
 
 
 def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> SolveOutcome:
@@ -193,55 +213,23 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
         raise ValueError("K must be positive")
     if isinstance(region, PeriodicStripe):
         return solve_periodic_stripe(region.k, region.period, K, budget)
-    pts, csp = _finite_csp(region)
-    status, colors, stats = _solve_csp(csp, K, budget)
-    if status == SAT:
-        coloring = Coloring(region, {p: colors[i] for i, p in enumerate(pts)}, K)
-        ok, witness = is_proper(coloring)
-        if not ok:
-            raise RuntimeError(f"solver produced improper coloring, witness {witness}")
-        return SolveOutcome(SAT, coloring, stats)
-    return SolveOutcome(status, None, stats)
-
-
-def periodic_cell_constraints(k: int, period: int):
-    """Constraints on fundamental-domain cells of the k-row period-p stripe.
-
-    Returns (ternary, binary, contradiction): cell index = b * period + a.
-    A window triangle whose vertices collapse to fewer distinct cells becomes a
-    binary disequality, or a contradiction if all three collapse together.
-    """
-    span = stripe_span_bound(k)
-    window = StripeWindow(k, 0, period - 1 + span)
-    ternary: set[tuple] = set()
-    binary: set[tuple] = set()
-    contradiction = False
-    for t in enumerate_triangles(window):
-        cells = frozenset((p.b * period + p.a % period) for p in t.vertices())
-        if len(cells) == 3:
-            ternary.add(tuple(sorted(cells)))
-        elif len(cells) == 2:
-            binary.add(tuple(sorted(cells)))
-        else:
-            contradiction = True
-    return sorted(ternary), sorted(binary), contradiction
+    return _decide(region, K, budget)
 
 
 def solve_periodic_stripe(k: int, period: int, K: int, budget: Budget = Budget()) -> SolveOutcome:
     """Existence of a period-p K-coloring of the k-row stripe; SAT payload is a base block."""
-    ternary, binary, contradiction = periodic_cell_constraints(k, period)
-    if contradiction:
-        return SolveOutcome(UNSAT, None, SolveStats())
-    csp = _Csp(k * period, ternary, binary)
+    return _decide(PeriodicStripe(k, period), K, budget)
+
+
+def _decide(region: Region, K: int, budget: Budget) -> SolveOutcome:
+    pts, ternary, binary = constraints(region)
+    csp = _Csp(len(pts), ternary, binary)
     status, colors, stats = _solve_csp(csp, K, budget)
     if status == SAT:
-        region = PeriodicStripe(k, period)
-        assignment = {LatticePoint(a, b): colors[b * period + a]
-                      for b in range(k) for a in range(period)}
-        coloring = Coloring(region, assignment, K)
+        coloring = Coloring(region, dict(zip(pts, colors)), K)
         ok, witness = is_proper(coloring)
         if not ok:
-            raise RuntimeError(f"solver produced improper stripe coloring, witness {witness}")
+            raise RuntimeError(f"solver produced improper coloring, witness {witness}")
         return SolveOutcome(SAT, coloring, stats)
     return SolveOutcome(status, None, stats)
 
@@ -312,33 +300,20 @@ def export_dimacs(region: Region, K: int) -> CnfInstance:
     true color yields a proper coloring, since a monochromatic triple in the
     projected colors would falsify that triangle's clause.
     """
-    if isinstance(region, PeriodicStripe):
-        pts = sorted(region.fundamental_domain(), key=lambda p: (p.b, p.a))
-        index = {p: i for i, p in enumerate(pts)}
-        ternary, binary, contradiction = periodic_cell_constraints(region.k, region.period)
-        cell_rank = {b * region.period + a: index[LatticePoint(a, b)]
-                     for b in range(region.k) for a in range(region.period)}
-        groups = [tuple(cell_rank[c] for c in t) for t in ternary]
-        pairs = [tuple(cell_rank[c] for c in bnd) for bnd in binary]
-        if contradiction:
-            # unsatisfiable instance: emit the empty clause
-            inst = CnfInstance(len(pts) * K, [[]], pts, K, region)
-            inst.clauses = [[1], [-1]] if pts else [[]]
-            return inst
-    else:
-        pts = sorted(region.points(), key=lambda p: (p.b, p.a))
-        index = {p: i for i, p in enumerate(pts)}
-        groups = [tuple(index[p] for p in t.vertices()) for t in enumerate_triangles(region)]
-        pairs = []
+    pts, ternary, binary = constraints(region)
     inst = CnfInstance(len(pts) * K, [], pts, K, region)
     for rank in range(len(pts)):
         inst.clauses.append([inst.var(rank, c) for c in range(K)])
-    for (i, j, k) in groups:
-        for c in range(K):
-            inst.clauses.append([-inst.var(i, c), -inst.var(j, c), -inst.var(k, c)])
-    for (i, j) in pairs:
-        for c in range(K):
-            inst.clauses.append([-inst.var(i, c), -inst.var(j, c)])
+    # neg[v] is the literal -v; each is one int object that every clause holding
+    # it shares, which keeps the clause lists about half the size
+    neg = np.array([-v for v in range(inst.num_vars + 1)], dtype=object)
+    colors = np.arange(1, K + 1)[:, None]
+    for rows in (ternary, binary):
+        # one clause per (row, color), colors innermost: var(rank, c) = rank * K + c + 1;
+        # built in blocks, so the index array stays small next to the clause lists
+        for start in range(0, len(rows), 1024):
+            lits = neg[rows[start:start + 1024, None, :] * K + colors]
+            inst.clauses.extend(lits.reshape(-1, rows.shape[1]).tolist())
     return inst
 
 
@@ -382,8 +357,11 @@ def import_assignment(cnf: CnfInstance, assignment_text: str) -> Coloring:
 def run_sat_command(sat_cmd: str, dimacs_text: str, timeout: Optional[float] = None):
     """Run an external SAT solver on a DIMACS instance.
 
-    Returns (status, model_text): status per the s-line, model_text the
-    concatenated v-lines.  The command is invoked as `<sat_cmd> <cnf-file>`.
+    Returns (status, model_text, stderr): status per the s-line, model_text
+    the concatenated v-lines, stderr the solver's error output.  The command
+    is invoked as `<sat_cmd> <cnf-file>`.  A solver that cannot be started or
+    that outlives `timeout` seconds gives UNKNOWN, with the reason prepended
+    to stderr.
     """
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
         f.write(dimacs_text)
@@ -391,6 +369,11 @@ def run_sat_command(sat_cmd: str, dimacs_text: str, timeout: Optional[float] = N
     try:
         proc = subprocess.run(shlex.split(sat_cmd) + [path],
                               capture_output=True, text=True, timeout=timeout)
+    except (OSError, ValueError) as e:  # missing or unrunnable command, bad quoting
+        return UNKNOWN, "", f"cannot run solver {sat_cmd!r}: {e}"
+    except subprocess.TimeoutExpired as e:
+        err = e.stderr.decode(errors="replace") if isinstance(e.stderr, bytes) else e.stderr
+        return UNKNOWN, "", f"solver timed out after {timeout}s\n{err or ''}".strip()
     finally:
         Path(path).unlink(missing_ok=True)
     status = UNKNOWN
@@ -404,16 +387,16 @@ def run_sat_command(sat_cmd: str, dimacs_text: str, timeout: Optional[float] = N
                 status = UNSAT
         elif line.startswith("v ") or line.strip() == "v":
             model_lines.append(line)
-    return status, "\n".join(model_lines)
+    return status, "\n".join(model_lines), proc.stderr
 
 
 def decide_k_colorable_external(region: Region, K: int, sat_cmd: str,
                                 timeout: Optional[float] = None) -> SolveOutcome:
     cnf = export_dimacs(region, K)
-    status, model = run_sat_command(sat_cmd, cnf.to_dimacs(), timeout)
+    status, model, stderr = run_sat_command(sat_cmd, cnf.to_dimacs(), timeout)
     if status == SAT:
         return SolveOutcome(SAT, import_assignment(cnf, model), SolveStats())
-    return SolveOutcome(status, None, SolveStats())
+    return SolveOutcome(status, None, SolveStats(), solver_stderr=stderr)
 
 
 # -- incomplete search for upper-bound colorings ------------------------------
@@ -430,20 +413,9 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
     import random
 
     rng = random.Random(seed)
-    if isinstance(region, PeriodicStripe):
-        pts = sorted(region.fundamental_domain(), key=lambda p: (p.b, p.a))
-        index = {p: i for i, p in enumerate(pts)}
-        ternary, binary, contradiction = periodic_cell_constraints(region.k, region.period)
-        if contradiction:
-            return None
-        cell_rank = {b * region.period + a: index[LatticePoint(a, b)]
-                     for b in range(region.k) for a in range(region.period)}
-        groups = [tuple(cell_rank[c] for c in t) for t in ternary]
-        groups += [(i, j, j) for (i, j) in (tuple(cell_rank[c] for c in bnd) for bnd in binary)]
-    else:
-        pts = sorted(region.points(), key=lambda p: (p.b, p.a))
-        index = {p: i for i, p in enumerate(pts)}
-        groups = [tuple(index[p] for p in t.vertices()) for t in enumerate_triangles(region)]
+    pts, ternary, binary = constraints(region)
+    # a binary row (i, j) acts as the group (i, j, j)
+    groups = [tuple(g) for g in ternary.tolist()] + [(i, j, j) for i, j in binary.tolist()]
     n = len(pts)
     pair_of = [[] for _ in range(n)]   # (other1, other2) per containing group
     groups_of = [[] for _ in range(n)]  # group ids per variable
@@ -481,8 +453,7 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
                 else:
                     bad.discard(g)
         if not bad:
-            assignment = {p: colors[index[p]] for p in pts}
-            coloring = Coloring(region, assignment, K)
+            coloring = Coloring(region, dict(zip(pts, colors)), K)
             ok, _ = is_proper(coloring)
             if ok:
                 return coloring

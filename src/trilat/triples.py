@@ -18,7 +18,7 @@ from math import comb
 from typing import Optional
 
 from .lattice import TriangleRegion
-from .triangles import enumerate_triangles
+from .solver import constraints
 
 HEADER = "trilat-triples v1"
 
@@ -78,11 +78,8 @@ def is_modified_sts(ts: TripleSystem) -> Optional[int]:
 
 def triangle_system(n: int) -> TripleSystem:
     """The equilateral triangles of T_n as triples on its points (1-indexed canonically)."""
-    pts = sorted(TriangleRegion(n).points(), key=lambda p: (p.b, p.a))
-    index = {p: i + 1 for i, p in enumerate(pts)}
-    triples = [frozenset(index[q] for q in t.vertices())
-               for t in enumerate_triangles(TriangleRegion(n))]
-    return TripleSystem(len(pts), triples)
+    pts, ternary, _ = constraints(TriangleRegion(n))
+    return TripleSystem(len(pts), [frozenset(t) for t in (ternary + 1).tolist()])
 
 
 def fano_plane() -> TripleSystem:

@@ -140,6 +140,31 @@ def test_verify_malformed_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("old,new", [
+    ("region triangle 3", "region triangle x"),
+    ("region triangle 3", "region triangle 0"),
+    ("colors 1", "colors x"),
+    ("region triangle 3", "region triangle 1000000000"),
+])
+def test_verify_malformed_header_values(capsys, tmp_path, old, new):
+    region = TriangleRegion(3)
+    from trilat.coloring import Coloring
+    text = write_certificate(Coloring(region, {p: 0 for p in region.points()}, 1))
+    cert = tmp_path / "bad.cert"
+    cert.write_text(text.replace(old, new))
+    code, _, err = run(capsys, "verify", str(cert))
+    assert code == 2
+    assert "malformed certificate: " in err
+
+
+def test_solve_missing_external_solver(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", "--n", "3", "--colors", "2",
+                         "--sat-cmd", str(tmp_path / "no-such-solver"))
+    assert code == 3
+    assert "s UNKNOWN" in out
+    assert "cannot run solver" in err
+
+
 def test_dimacs_export_import_roundtrip(capsys, tmp_path):
     cnf_file = tmp_path / "t4k3.cnf"
     code, _, _ = run(capsys, "export-dimacs", "--n", "4", "--colors", "3",

@@ -6,7 +6,6 @@ from trilat.constructions import (
     banded_coloring,
     chevron_coloring,
     minimal_spacer,
-    spacer_seed,
     stripe_partition_coloring,
 )
 from trilat.lattice import LatticePoint, PeriodicStripe, TriangleRegion
@@ -125,10 +124,6 @@ def test_banded_color_budget(block6):
     bands = -(-(n - d // 2) // (2 * 6)) + 1
     assert color_count(c) <= d + 4 * bands
     assert color_count(c) < n // 2 + 1  # beats the chevron scheme
-
-
-def test_spacer_seed_value():
-    assert spacer_seed(6) == 16
 
 
 def test_banded_degenerate_small_n(block6):

@@ -16,7 +16,7 @@ def test_small_closed_values():
     assert (ct.a2_closed(5), ct.a1_closed(5)) == (24, 57)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 41))
 def test_closed_forms_match_oracles(n):
     region = TriangleRegion(n)
     assert ct.alpha_closed(n) == len(enumerate_triangles(region))

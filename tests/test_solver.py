@@ -144,8 +144,23 @@ def test_internal_and_external_agree(n, k):
 
 def test_run_sat_command_parses_statuses():
     cnf = export_dimacs(TriangleRegion(2), 1)
-    status, _ = run_sat_command(SATSTUB, cnf.to_dimacs())
+    status, _, _ = run_sat_command(SATSTUB, cnf.to_dimacs())
     assert status == UNSAT
+
+
+def test_run_sat_command_missing_solver(tmp_path):
+    status, model, stderr = run_sat_command(str(tmp_path / "no-such-solver"), "p cnf 0 0\n")
+    assert (status, model) == (UNKNOWN, "")
+    assert "cannot run solver" in stderr
+
+
+def test_run_sat_command_timeout():
+    sleeper = (f"{sys.executable} -c \"import sys, time; "
+               f"print('still thinking', file=sys.stderr, flush=True); time.sleep(3)\"")
+    status, model, stderr = run_sat_command(sleeper, "p cnf 0 0\n", timeout=0.5)
+    assert (status, model) == (UNKNOWN, "")
+    assert "timed out after 0.5s" in stderr
+    assert "still thinking" in stderr
 
 
 def test_periodic_tiny_agrees_with_exhaustive():
@@ -171,7 +186,7 @@ def test_s6_three_colors_unsat_small_periods():
 
 def test_periodic_dimacs_roundtrip():
     cnf = export_dimacs(PeriodicStripe(3, 2), 3)
-    status, model = run_sat_command(SATSTUB, cnf.to_dimacs())
+    status, model, _ = run_sat_command(SATSTUB, cnf.to_dimacs())
     assert status == SAT
     col = import_assignment(cnf, model)
     assert is_proper(col)[0]

@@ -1,7 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
+from pairwalk import pair_walk_tallies, pair_walk_triangles
 
-from trilat.lattice import LatticePoint, PeriodicStripe, TriangleRegion, norm, symmetries
+from trilat.coloring import stripe_span_bound
+from trilat.lattice import (
+    LatticePoint,
+    PeriodicStripe,
+    StripeWindow,
+    TriangleRegion,
+    norm,
+    symmetries,
+)
 from trilat.triangles import (
     EquilateralTriangle,
     apex_candidates,
@@ -9,6 +18,10 @@ from trilat.triangles import (
     count_upright,
     enumerate_triangles,
 )
+
+# T1..T15, and every window the periodic-stripe constraints read for k <= 7, p <= 12
+ORACLE_REGIONS = [TriangleRegion(n) for n in range(1, 16)] + [
+    StripeWindow(k, 0, p - 1 + stripe_span_bound(k)) for k in range(1, 8) for p in range(1, 13)]
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(LatticePoint, coords, coords)
@@ -51,6 +64,12 @@ def test_enumerate_counts(n, count):
     assert len(enumerate_triangles(TriangleRegion(n))) == count
 
 
+@pytest.mark.parametrize("region", ORACLE_REGIONS, ids=repr)
+def test_generator_matches_pair_walk(region):
+    assert enumerate_triangles(region) == pair_walk_triangles(region)  # order included
+    assert classify_pairs(region).tallies() == pair_walk_tallies(region)
+
+
 def test_enumerate_rejects_periodic():
     with pytest.raises(ValueError):
         enumerate_triangles(PeriodicStripe(3, 4))
@@ -58,7 +77,8 @@ def test_enumerate_rejects_periodic():
 
 def test_triangles_are_valid_and_canonical():
     for t in enumerate_triangles(TriangleRegion(6)):
-        assert t.is_valid()
+        p1, p2, p3 = t.vertices()
+        assert norm(p2 - p1) == norm(p3 - p2) == norm(p3 - p1) > 0
         assert (t.p1.b, t.p1.a) <= (t.p2.b, t.p2.a) <= (t.p3.b, t.p3.a)
 
 
@@ -92,7 +112,6 @@ def test_classify_t4_values():
 def test_classify_t1_empty():
     cls = classify_pairs(TriangleRegion(1))
     assert cls.tallies() == (0, 0, 0)
-    assert not cls.counts
 
 
 def test_classify_t5():
