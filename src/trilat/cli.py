@@ -20,7 +20,7 @@ from .coloring import (
     read_certificate,
     write_certificate,
 )
-from .lattice import PeriodicStripe, TriangleRegion
+from .lattice import LatticePoint, PeriodicStripe, TriangleRegion
 from .triangles import classify_pairs, enumerate_triangles
 
 EX_USAGE = 64
@@ -119,6 +119,8 @@ def cmd_f(args) -> int:
             Path(args.output).write_text(write_certificate(res.coloring))
         return 0
     print(f"f({args.n}) in [{res.lo}, {res.hi}]")
+    if res.solver_stderr:
+        print(f"external solver: {res.solver_stderr.strip()}", file=sys.stderr)
     return EX_UNKNOWN
 
 
@@ -236,7 +238,8 @@ def cmd_triples(args) -> int:
 
 def render_svg(col: Coloring, witness=None, scale: float = 24.0) -> str:
     """Deterministic SVG: one disc per point, fill keyed by color index."""
-    pts = sorted(col.assignment, key=lambda p: (p.b, p.a))
+    a, b = col.region.point_arrays()
+    pts = list(map(LatticePoint, a.tolist(), b.tolist()))
     coords = {p: p.to_cartesian() for p in pts}
     xs = [c[0] for c in coords.values()]
     ys = [c[1] for c in coords.values()]
@@ -258,9 +261,9 @@ def render_svg(col: Coloring, witness=None, scale: float = 24.0) -> str:
         f'width="{width:.0f}" height="{height:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for p in pts:
+    for p, color in zip(pts, col.colors.tolist()):
         x, y = coords[p]
-        fill = _palette(col.assignment[p])
+        fill = _palette(color)
         lines.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{scale * 0.35:.2f}" '
                      f'fill="{fill}" stroke="black" stroke-width="1"/>')
     if witness is not None:

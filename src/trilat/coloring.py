@@ -1,20 +1,42 @@
 """Colorings of lattice regions and the monochromatic-triangle checker.
 
-A coloring is proper when no three points forming an equilateral triangle (any
-orientation, any size) share a color.  The production checker iterates pairs
-within one color class and tests the two apex completions, vectorized with
-numpy; the O(pairs * 2) work per class is what makes n = 600 constructions
-checkable in seconds.  A plain triangle-scan checker is kept as the oracle.
+A coloring is a dense int array `colors` in the region's rank order: the
+(b, a) order of `region.points()`, or of `fundamental_domain()` for a periodic
+stripe (`Region.rank` maps coordinates to ranks).  It is proper when no three
+points forming an equilateral triangle (any orientation, any size) share a
+color.
 
-Periodic stripe colorings are checked on a finite window: any equilateral
+The checker scans the ordered pairs (p, q) of each color class and looks up
+the apex p + rot(q - p) of each, where rot(a, b) = (-b, a + b) turns a vector
+by +60 degrees.  Every region kind is unrolled into one padded color grid: the
+points of T_n or of a stripe window carry their colors and every other cell
+holds -1, while a periodic stripe is tiled across the grid.  The padding is as
+wide as the scanned points' spread in b and in a + b, which bounds how far an
+apex can stray, so every apex lookup is one unmasked flat index.  The flat
+index is affine in the point, so with U[p] = flat(p - rot p) and
+V[q] = flat(rot q) - flat(0) the apex of (p, q) sits at U[p] + V[q]: one add,
+one gather and one compare per pair.
+
+One rotation over the pairs i < j (in rank order) of a class finds every
+monochromatic triangle.  Going round a triangle counter-clockwise, x -> y -> z,
+each vertex is the +60 degree apex of the edge before it (z = x + rot(y - x),
+and so on cyclically), and ranks cannot fall along all three edges of a cycle,
+so some edge goes up in rank and its pair i < j meets the triangle.  The first
+hit in class order (first appearance in rank order), then row-major pair
+order, is the witness.  A plain triangle-scan checker is kept as the oracle.
+
+Periodic stripe colorings are scanned on a finite window: any equilateral
 triangle with vertices in the k-row stripe has bounded horizontal extent, so a
-window of one period plus that bound sees a translate of every triangle.
+window of one period plus that bound holds a translate of every triangle.
 """
 
 from __future__ import annotations
 
+import io
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,125 +66,118 @@ def stripe_span_bound(k: int) -> int:
     return math.isqrt(4 * (k - 1) ** 2 // 3)
 
 
-@dataclass
+class _Assignment(Mapping):
+    """Read-only point -> color view of a coloring.
+
+    Its dict is built on the first lookup or iteration; `len` needs none.
+    Lookups take `LatticePoint`s or plain (a, b) tuples.
+    """
+
+    def __init__(self, coloring: "Coloring"):
+        self._coloring = coloring
+
+    def __len__(self):
+        return self._coloring.colors.size
+
+    @cached_property
+    def _dict(self) -> dict[LatticePoint, int]:
+        a, b = self._coloring.region.point_arrays()
+        return dict(zip(map(LatticePoint, a.tolist(), b.tolist()),
+                        self._coloring.colors.tolist()))
+
+    def __getitem__(self, p):
+        return self._dict[p]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+
+@dataclass(eq=False)
 class Coloring:
+    """`colors[r]` is the color of the point of rank r of `region`."""
     region: Region
-    assignment: dict[LatticePoint, int]
+    colors: np.ndarray
     num_colors: int
 
     def __post_init__(self):
-        if isinstance(self.region, PeriodicStripe):
-            domain = set(self.region.fundamental_domain())
-        else:
-            domain = set(self.region.points())
-        if set(self.assignment) != domain:
+        colors = np.array(self.colors, dtype=np.int64)
+        if colors.shape != (self.region.size(),):
             raise CertificateError("partial coloring")
-        if any(not (0 <= c < self.num_colors) for c in self.assignment.values()):
+        if colors.size and (colors.min() < 0 or colors.max() >= self.num_colors):
             raise CertificateError("color index out of range")
+        colors.flags.writeable = False
+        self.colors = colors
 
-    def color_of(self, p) -> int:
-        if isinstance(self.region, PeriodicStripe):
-            return self.assignment[self.region.reduce(p)]
-        return self.assignment[LatticePoint(p[0], p[1])]
+    @cached_property
+    def assignment(self) -> Mapping[LatticePoint, int]:
+        return _Assignment(self)
 
 
 def color_count(c: Coloring) -> int:
-    return len(set(c.assignment.values()))
+    return int(np.unique(c.colors).size)
 
 
-def _check_window(points, color_of, member_color):
-    """Shared pair-based check.
+# pair probes per block of a color class, so memory stays bounded for any class size
+_BLOCK = 1 << 16
 
-    points: list of LatticePoint to scan pairs over; color_of(p) -> color;
-    member_color(a_array, b_array) -> color array with -1 for non-members.
-    Returns a witness triple or None.
-    """
-    by_color: dict[int, list[LatticePoint]] = {}
-    for p in points:
-        by_color.setdefault(color_of(p), []).append(p)
-    for col, pts in by_color.items():
-        if len(pts) < 3:
-            continue
-        arr = np.array(pts, dtype=np.int64)
-        a = arr[:, 0]
-        b = arr[:, 1]
-        da = a[None, :] - a[:, None]
-        db = b[None, :] - b[:, None]
-        iu = np.triu_indices(len(pts), k=1)
-        da = da[iu]
-        db = db[iu]
-        base_a = a[iu[0]]
-        base_b = b[iu[0]]
-        for direction in (+1, -1):
-            if direction == +1:
-                apex_a = base_a - db
-                apex_b = base_b + da + db
-            else:
-                apex_a = base_a + da + db
-                apex_b = base_b - da
-            colors = member_color(apex_a, apex_b)
-            hit = colors == col
-            if hit.any():
-                idx = int(np.argmax(hit))
-                p1 = LatticePoint(int(base_a[idx]), int(base_b[idx]))
-                p2 = LatticePoint(int(base_a[idx] + da[idx]), int(base_b[idx] + db[idx]))
-                apex = LatticePoint(int(apex_a[idx]), int(apex_b[idx]))
-                return EquilateralTriangle.of(p1, p2, apex)
+
+def _first_hit(grid: np.ndarray, u: np.ndarray, v: np.ndarray, color) -> Optional[tuple[int, int]]:
+    """First pair i < j of a class, row-major, whose apex cell grid[u[i] + v[j]] has `color`."""
+    s = len(u)
+    rows = max(1, _BLOCK // s)
+    upper = np.tri(min(rows, s - 1), dtype=bool).T  # [t, c]: c >= t
+    for i0 in range(0, s - 1, rows):
+        h = min(rows, s - 1 - i0)
+        # row t is i = i0 + t and column c is j = i0 + 1 + c, so c < t means j <= i
+        hit = grid.take(u[i0:i0 + h, None] + v[None, i0 + 1:]) == color
+        hit[:, :h] &= upper[:h, :h]
+        if hit.any():
+            t, col = divmod(int(hit.argmax()), hit.shape[1])
+            return i0 + t, i0 + 1 + col
     return None
 
 
 def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
     """Pair-based properness check; returns (verdict, witness-or-None)."""
     region = c.region
-    if isinstance(region, TriangleRegion):
-        n = region.n
-        grid = np.full((n, n), -1, dtype=np.int64)
-        for p, col in c.assignment.items():
-            grid[p.a, p.b] = col
+    periodic = isinstance(region, PeriodicStripe)
+    scanned = (StripeWindow(region.k, 0, region.period - 1 + stripe_span_bound(region.k))
+               if periodic else region)
+    a, b = scanned.point_arrays()
+    if a.size < 3:
+        return (True, None)
+    colors = c.colors[region.rank(a, b)]
+    # an apex p + rot(q - p) = (a_p - db, b_p + d(a + b)) moves at most the points'
+    # spread in b along a, and their spread in a + b along b
+    s = a + b
+    pad_a, pad_b = int(b.max() - b.min()), int(s.max() - s.min())
+    a0, b0 = int(a.min()) - pad_a, int(b.min()) - pad_b
+    width = int(a.max()) + pad_a - a0 + 1
+    height = int(b.max()) + pad_b - b0 + 1
+    # the cells that carry colors: the region's points, or all stripe rows when tiled
+    paint = StripeWindow(region.k, a0, a0 + width - 1) if periodic else region
+    pa, pb = paint.point_arrays()
+    grid = np.full(height * width, -1, dtype=np.min_scalar_type(-c.num_colors))
+    grid[(pb - b0) * width + pa - a0] = c.colors[region.rank(pa, pb)]
+    u = (-a - b0) * width + s - a0  # flat(p - rot p), p - rot p = (a + b, -a)
+    v = s * width - b  # flat(rot q) - flat(0), rot q = (-b, a + b)
 
-        def member_color(aa, bb):
-            inside = (aa >= 0) & (bb >= 0) & (aa + bb <= n - 1)
-            out = np.full(aa.shape, -1, dtype=np.int64)
-            out[inside] = grid[aa[inside], bb[inside]]
-            return out
-
-        witness = _check_window(list(region.points()), c.color_of, member_color)
-        return (witness is None, witness)
-
-    if isinstance(region, StripeWindow):
-        k, x0, x1 = region.k, region.x_min, region.x_max
-        width = x1 - x0 + 1
-        grid = np.full((width, k), -1, dtype=np.int64)
-        for p, col in c.assignment.items():
-            grid[p.a - x0, p.b] = col
-
-        def member_color(aa, bb):
-            inside = (aa >= x0) & (aa <= x1) & (bb >= 0) & (bb <= k - 1)
-            out = np.full(aa.shape, -1, dtype=np.int64)
-            out[inside] = grid[aa[inside] - x0, bb[inside]]
-            return out
-
-        witness = _check_window(list(region.points()), c.color_of, member_color)
-        return (witness is None, witness)
-
-    if isinstance(region, PeriodicStripe):
-        k, p = region.k, region.period
-        block = np.full((p, k), -1, dtype=np.int64)
-        for pt, col in c.assignment.items():
-            block[pt.a, pt.b] = col
-        span = stripe_span_bound(k)
-        window = [LatticePoint(a, b) for b in range(k) for a in range(p + span)]
-
-        def member_color(aa, bb):
-            inside = (bb >= 0) & (bb <= k - 1)
-            out = np.full(aa.shape, -1, dtype=np.int64)
-            out[inside] = block[aa[inside] % p, bb[inside]]
-            return out
-
-        witness = _check_window(window, c.color_of, member_color)
-        return (witness is None, witness)
-
-    raise TypeError(f"unsupported region {region!r}")
+    values, first, inverse, counts = np.unique(colors, return_index=True,
+                                               return_inverse=True, return_counts=True)
+    members = np.argsort(inverse, kind="stable")  # by class, rank order within each
+    starts = np.cumsum(counts) - counts
+    for cls in np.argsort(first):
+        if counts[cls] < 3:
+            continue
+        m = members[starts[cls]:starts[cls] + counts[cls]]
+        found = _first_hit(grid, u[m], v[m], int(values[cls]))
+        if found is not None:
+            p, q = m[found[0]], m[found[1]]
+            p1 = LatticePoint(int(a[p]), int(b[p]))
+            p2 = LatticePoint(int(a[q]), int(b[q]))
+            apex = LatticePoint(int(s[p] - b[q]), int(s[q] - a[p]))
+            return (False, EquilateralTriangle.of(p1, p2, apex))
+    return (True, None)
 
 
 def is_proper_scan(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
@@ -173,11 +188,15 @@ def is_proper_scan(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
         span = stripe_span_bound(region.k)
         window = StripeWindow(region.k, 0, region.period - 1 + span)
         tris = enumerate_triangles(window)
+
+        def color_of(p):
+            return c.assignment[region.reduce(p)]
     else:
         tris = enumerate_triangles(region)
+        color_of = c.assignment.__getitem__
     for t in tris:
-        c1 = c.color_of(t.p1)
-        if c1 == c.color_of(t.p2) == c.color_of(t.p3):
+        c1 = color_of(t.p1)
+        if c1 == color_of(t.p2) == color_of(t.p3):
             return (False, t)
     return (True, None)
 
@@ -188,29 +207,62 @@ MAGIC = "trilat-coloring v1"
 
 
 def write_certificate(c: Coloring) -> str:
-    lines = [MAGIC]
     if isinstance(c.region, TriangleRegion):
-        lines.append(f"region triangle {c.region.n}")
-        pts = sorted(c.assignment, key=lambda p: (p.b, p.a))
+        region_line = f"region triangle {c.region.n}"
     elif isinstance(c.region, PeriodicStripe):
-        lines.append(f"region stripe {c.region.k} period {c.region.period}")
-        pts = sorted(c.assignment, key=lambda p: (p.b, p.a))
+        region_line = f"region stripe {c.region.k} period {c.region.period}"
     else:
         raise CertificateError("only triangle and periodic stripe certificates are supported")
-    lines.append(f"colors {c.num_colors}")
-    for p in pts:
-        lines.append(f"{p.a} {p.b} {c.assignment[p]}")
-    return "\n".join(lines) + "\n"
+    a, b = c.region.point_arrays()
+    rows = tuple(np.stack([a, b, c.colors], axis=1).ravel().tolist())
+    return f"{MAGIC}\n{region_line}\ncolors {c.num_colors}\n" + "%d %d %d\n" * a.size % rows
+
+
+def _point_lines(body: list[str]) -> list[str]:
+    """The point lines of a certificate body, stripped, without blanks and comments."""
+    return [ln for ln in map(str.strip, body) if ln and not ln.startswith("#")]
+
+
+# point values are clamped to this magnitude so that a + b stays within int64;
+# that changes no check against a region narrower than it
+_CLAMP = 1 << 61
+
+
+def _point_rows(body: list[str]) -> np.ndarray:
+    """The point lines as an (N, 3) int array of (a, b, color) rows."""
+    text = "\n".join(body)
+    if "#" not in text and text.strip():  # comments and odd lines take the loop below
+        try:
+            rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+            if rows.shape[1] == 3:
+                return rows
+        except ValueError:  # a malformed or out-of-range line: found and named below
+            pass
+    rows = []
+    for ln in _point_lines(body):
+        parts = ln.split()
+        try:
+            if len(parts) != 3:
+                raise ValueError("expected 'a b color'")
+            rows.append([max(-_CLAMP, min(_CLAMP, int(x))) for x in parts])
+        except ValueError as e:
+            raise CertificateError(f"bad point line: {ln!r}") from e
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def read_certificate(text: str) -> Coloring:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != MAGIC:
+    raw = text.splitlines()
+    header, pos = [], 0
+    while len(header) < 3 and pos < len(raw):
+        ln = raw[pos].strip()
+        pos += 1
+        if ln and not ln.startswith("#"):
+            header.append(ln)
+    if not header or header[0] != MAGIC:
         raise CertificateError("bad or missing header")
-    if len(lines) < 3:
+    if len(header) < 3:
         raise CertificateError("truncated certificate")
-    region_parts = lines[1].split()
+    region_parts = header[1].split()
     try:
         if region_parts[:2] == ["region", "triangle"] and len(region_parts) == 3:
             region: Region = TriangleRegion(int(region_parts[2]))
@@ -219,38 +271,44 @@ def read_certificate(text: str) -> Coloring:
         else:
             raise ValueError("unknown region")
     except ValueError as e:  # int() and the region constructors raise ValueError
-        raise CertificateError(f"bad region line: {lines[1]!r} ({e})") from e
-    colors_parts = lines[2].split()
+        raise CertificateError(f"bad region line: {header[1]!r} ({e})") from e
+    colors_parts = header[2].split()
     try:
         if colors_parts[0] != "colors" or len(colors_parts) != 2:
             raise ValueError("expected 'colors <count>'")
         num_colors = int(colors_parts[1])
     except ValueError as e:
-        raise CertificateError(f"bad colors line: {lines[2]!r} ({e})") from e
+        raise CertificateError(f"bad colors line: {header[2]!r} ({e})") from e
     if num_colors < 1:
         raise CertificateError("colors must be positive")
-    assignment: dict[LatticePoint, int] = {}
-    for ln in lines[3:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise CertificateError(f"bad point line: {ln!r}")
-        try:
-            a, b, col = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as e:
-            raise CertificateError(f"bad point line: {ln!r}") from e
-        p = LatticePoint(a, b)
-        if isinstance(region, PeriodicStripe):
-            if not (0 <= a < region.period and 0 <= b < region.k):
-                raise CertificateError(f"point outside fundamental domain: {ln!r}")
-        elif not region.contains(p):
-            raise CertificateError(f"point outside region: {ln!r}")
-        if p in assignment:
+
+    body = raw[pos:]
+    a, b, col = _point_rows(body).T
+    if isinstance(region, PeriodicStripe):
+        where = "fundamental domain"
+        inside = (a >= 0) & (a < region.period) & (b >= 0) & (b < region.k)
+    else:
+        where = "region"
+        inside = (a >= 0) & (b >= 0) & (a + b < region.n)
+    # a repeated point: every occurrence after the first of its (a, b); lexsort is stable
+    order = np.lexsort((a, b))
+    same = (a[order][1:] == a[order][:-1]) & (b[order][1:] == b[order][:-1])
+    duplicate = np.zeros(a.size, dtype=bool)
+    duplicate[order[1:][same]] = True
+    bad_color = (col < 0) | (col >= num_colors)
+    bad = ~inside | duplicate | bad_color
+    if bad.any():  # report the first bad line, by the first check it fails
+        r = int(bad.argmax())
+        ln = _point_lines(body)[r]
+        if not inside[r]:
+            raise CertificateError(f"point outside {where}: {ln!r}")
+        if duplicate[r]:
             raise CertificateError(f"duplicate point: {ln!r}")
-        if not (0 <= col < num_colors):
-            raise CertificateError(f"color out of range: {ln!r}")
-        assignment[p] = col
+        raise CertificateError(f"color out of range: {ln!r}")
     # every point is in the region and distinct, so a short count means a gap;
-    # checking it first keeps a huge declared region from being enumerated
-    if len(assignment) != region.size():
+    # checking it first keeps a huge declared region from being laid out
+    if a.size != region.size():
         raise CertificateError("partial coloring")
-    return Coloring(region, assignment, num_colors)
+    colors = np.empty(a.size, dtype=np.int64)
+    colors[region.rank(a, b)] = col
+    return Coloring(region, colors, num_colors)

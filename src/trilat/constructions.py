@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .coloring import Coloring, is_proper
-from .lattice import LatticePoint, PeriodicStripe, TriangleRegion
+from .lattice import PeriodicStripe, TriangleRegion
 
 
 class ConstructionError(ValueError):
@@ -41,17 +43,10 @@ def chevron_coloring(n: int, verify: bool = True) -> Coloring:
     if n < 1:
         raise ValueError("n must be positive")
     m = n - 1  # doubled x-coordinate of the middle column is m
-    assignment: dict[LatticePoint, int] = {}
-    for b in range(n):
-        for a in range(n - b):
-            x = 2 * a + b
-            if x == m:
-                assignment[LatticePoint(a, b)] = 0
-            else:
-                # chevron index: distance to whichever arm the point lies on
-                assignment[LatticePoint(a, b)] = 1 + min(a, n - 1 - a - b)
-    num = max(assignment.values()) + 1
-    coloring = Coloring(TriangleRegion(n), assignment, num)
+    a, b = TriangleRegion(n).point_arrays()
+    # off the middle column, the chevron index: distance to whichever arm the point lies on
+    colors = np.where(2 * a + b == m, 0, 1 + np.minimum(a, n - 1 - a - b))
+    coloring = Coloring(TriangleRegion(n), colors, int(colors.max()) + 1)
     if verify:
         ok, witness = is_proper(coloring)
         if not ok:
@@ -72,16 +67,14 @@ def stripe_partition_coloring(k: int, tri_coloring: Coloring) -> Coloring:
     if not ok:
         raise ConstructionError("input coloring improper", witness)
     f = tri_coloring.num_colors
-    assignment: dict[LatticePoint, int] = {}
-    for b in range(k):
-        for a in range(k):
-            if a <= k - 1 - b:
-                assignment[LatticePoint(a, b)] = tri_coloring.assignment[LatticePoint(a, b)]
-            else:
-                # half-turn (a, b) -> (k-1-a, k-1-b) lands in Triangle(k-1)
-                src = LatticePoint(k - 1 - a, k - 1 - b)
-                assignment[LatticePoint(a, b)] = f + tri_coloring.assignment[src]
-    coloring = Coloring(PeriodicStripe(k, k), assignment, 2 * f)
+    stripe = PeriodicStripe(k, k)
+    a, b = stripe.point_arrays()
+    upright = a <= k - 1 - b
+    # half-turn (a, b) -> (k-1-a, k-1-b) takes the inverted part into Triangle(k-1)
+    src_a = np.where(upright, a, k - 1 - a)
+    src_b = np.where(upright, b, k - 1 - b)
+    colors = tri_coloring.colors[tri_coloring.region.rank(src_a, src_b)] + np.where(upright, 0, f)
+    coloring = Coloring(stripe, colors, 2 * f)
     ok, witness = is_proper(coloring)
     if not ok:
         raise ConstructionError("stripe partition coloring improper", witness)
@@ -115,34 +108,22 @@ def banded_coloring(n: int, base_block: Coloring, w: int = 6, d: int = 0,
     if d < 0:
         raise ValueError("d must be nonnegative")
     kb = base_block.num_colors
-    period = base_block.region.period
     m, c0 = _band_palettes(n, d)
-    middle = {c0 + i: i for i in range(d)}  # doubled column coord -> color
-
-    assignment: dict[LatticePoint, int] = {}
-    for b in range(n):
-        for a in range(n - b):
-            x = 2 * a + b
-            if x in middle:
-                assignment[LatticePoint(a, b)] = middle[x]
-                continue
-            j = n - 1 - a - b  # right-arm line index
-            if x < m or (x == m and a <= j):
-                band, line = divmod(a, w)
-                # rotate the constant-a line family onto stripe rows:
-                # (a, b) -> (a + b, w - 1 - line) is a lattice isometry per band
-                sub = base_block.assignment[
-                    LatticePoint((a + b + left_phase) % period, w - 1 - line)]
-            else:
-                band, line = divmod(j, w)
-                # mirrored arm: constant a+b lines onto stripe rows
-                sub = base_block.assignment[
-                    LatticePoint((-b + right_phase) % period, w - 1 - line)]
-            assignment[LatticePoint(a, b)] = d + band * kb + sub
-    used = sorted(set(assignment.values()))
-    remap = {c: i for i, c in enumerate(used)}
-    assignment = {p: remap[c] for p, c in assignment.items()}
-    coloring = Coloring(TriangleRegion(n), assignment, len(used))
+    a, b = TriangleRegion(n).point_arrays()
+    x = 2 * a + b
+    j = n - 1 - a - b  # right-arm line index
+    left = (x < m) | ((x == m) & (a <= j))
+    band, line = np.divmod(np.where(left, a, j), w)
+    # each band maps onto the stripe rows by a lattice isometry: on the left arm
+    # (a, b) -> (a + b, w - 1 - line) takes the constant-a lines to rows, on the
+    # mirrored right arm (a, b) -> (-b, w - 1 - line) does so for constant a + b;
+    # the stripe's rank reduces the first coordinate modulo its period
+    stripe_a = np.where(left, a + b + left_phase, -b + right_phase)
+    sub = base_block.colors[base_block.region.rank(stripe_a, w - 1 - line)]
+    middle = (x >= c0) & (x < c0 + d)  # d singleton columns, colored 0..d-1
+    colors = np.where(middle, x - c0, d + band * kb + sub)
+    used, colors = np.unique(colors, return_inverse=True)
+    coloring = Coloring(TriangleRegion(n), colors, len(used))
     if verify:
         ok, witness = is_proper(coloring)
         if not ok:

@@ -4,12 +4,18 @@ Points are pairs (a, b) of integers, representing a*(1, 0) + b*(1/2, sqrt(3)/2)
 in the plane.  All geometry in this package is done on these integer pairs:
 rotations by 60 degrees and the squared Euclidean norm are exact integer maps,
 so no floating point ever enters a correctness argument.
+
+Each region orders its points by (b, a); a point's place in that order is its
+rank, and `point_arrays` / `rank` convert between ranks and coordinates with
+numpy, so dense per-point arrays can stand in for dicts keyed by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class LatticePoint(NamedTuple):
@@ -67,6 +73,16 @@ class TriangleRegion:
     def size(self) -> int:
         return self.n * (self.n + 1) // 2
 
+    def point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates a, b of `points()`, indexed by rank."""
+        b, a = np.indices((self.n, self.n)).reshape(2, -1)
+        inside = a + b <= self.n - 1
+        return a[inside], b[inside]
+
+    def rank(self, a, b):
+        """Rank of the points (a, b) of the region: row b starts after b rows of n, n-1, ..."""
+        return b * self.n - b * (b - 1) // 2 + a
+
 
 @dataclass(frozen=True)
 class StripeWindow:
@@ -90,6 +106,15 @@ class StripeWindow:
 
     def size(self) -> int:
         return self.k * max(0, self.x_max - self.x_min + 1)
+
+    def point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates a, b of `points()`, indexed by rank."""
+        b, a = np.indices((self.k, max(0, self.x_max - self.x_min + 1))).reshape(2, -1)
+        return a + self.x_min, b
+
+    def rank(self, a, b):
+        """Rank of the points (a, b) of the window."""
+        return b * (self.x_max - self.x_min + 1) + a - self.x_min
 
 
 @dataclass(frozen=True)
@@ -116,6 +141,15 @@ class PeriodicStripe:
 
     def size(self) -> int:
         return self.k * self.period
+
+    def point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates a, b of `fundamental_domain()`, indexed by rank."""
+        b, a = np.indices((self.k, self.period)).reshape(2, -1)
+        return a, b
+
+    def rank(self, a, b):
+        """Rank of the cell of the points (a, b) of the stripe: a is taken mod the period."""
+        return b * self.period + a % self.period
 
 
 Region = TriangleRegion | StripeWindow | PeriodicStripe

@@ -226,7 +226,7 @@ def _decide(region: Region, K: int, budget: Budget) -> SolveOutcome:
     csp = _Csp(len(pts), ternary, binary)
     status, colors, stats = _solve_csp(csp, K, budget)
     if status == SAT:
-        coloring = Coloring(region, dict(zip(pts, colors)), K)
+        coloring = Coloring(region, colors, K)
         ok, witness = is_proper(coloring)
         if not ok:
             raise RuntimeError(f"solver produced improper coloring, witness {witness}")
@@ -240,6 +240,7 @@ class FResult:
     lo: int  # smallest K not proven uncolorable
     hi: Optional[int]  # best proven upper bound (SAT or imported), None if unknown
     coloring: Optional[Coloring] = None
+    solver_stderr: str = ""  # external solver's error output, when it gave no verdict
 
     @property
     def exact(self) -> Optional[int]:
@@ -267,7 +268,8 @@ def compute_f(n: int, budget: Budget = Budget(),
         if outcome.status == SAT:
             return FResult(n, lo=K, hi=K, coloring=outcome.coloring)
         if outcome.status == UNKNOWN:
-            return FResult(n, lo=K, hi=hi, coloring=upper_coloring)
+            return FResult(n, lo=K, hi=hi, coloring=upper_coloring,
+                           solver_stderr=outcome.solver_stderr)
         K += 1
     return FResult(n, lo=K, hi=hi, coloring=upper_coloring)
 
@@ -333,21 +335,19 @@ def import_assignment(cnf: CnfInstance, assignment_text: str) -> Coloring:
             except ValueError:
                 continue
             seen_any = True
-            if lit > 0:
+            if 0 < lit <= cnf.num_vars:  # literals beyond the instance are ignored
                 true_vars.add(lit)
     if not seen_any:
         raise ValueError("incomplete/invalid assignment")
-    assignment: dict[LatticePoint, int] = {}
-    for rank, p in enumerate(cnf.points):
-        chosen = None
-        for c in range(cnf.K):
-            if cnf.var(rank, c) in true_vars:
-                chosen = c
-                break
-        if chosen is None:
-            raise ValueError(f"incomplete/invalid assignment: no color for point {p}")
-        assignment[p] = chosen
-    coloring = Coloring(cnf.region, assignment, cnf.K)
+    # row r holds the truth of var(r, 0), ..., var(r, K-1)
+    truth = np.zeros(cnf.num_vars + 1, dtype=bool)
+    truth[np.fromiter(true_vars, dtype=np.int64, count=len(true_vars))] = True
+    truth = truth[1:].reshape(-1, cnf.K)
+    colored = truth.any(axis=1)
+    if not colored.all():
+        p = cnf.points[int(colored.argmin())]
+        raise ValueError(f"incomplete/invalid assignment: no color for point {p}")
+    coloring = Coloring(cnf.region, truth.argmax(axis=1), cnf.K)  # lowest true color
     ok, witness = is_proper(coloring)
     if not ok:
         raise RuntimeError(f"imported coloring improper (encoder bug?), witness {witness}")
@@ -453,7 +453,7 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
                 else:
                     bad.discard(g)
         if not bad:
-            coloring = Coloring(region, dict(zip(pts, colors)), K)
+            coloring = Coloring(region, colors, K)
             ok, _ = is_proper(coloring)
             if ok:
                 return coloring

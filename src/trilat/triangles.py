@@ -46,20 +46,10 @@ def apex_candidates(p1: LatticePoint, p2: LatticePoint) -> tuple[LatticePoint, L
     return (p1 + rotate60(d, +1), p1 + rotate60(d, -1))
 
 
-def _point_arrays(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates a, b of the region's points, indexed by (b, a)-order rank."""
+def _triangle_ranks(region: Region, upright_only: bool) -> np.ndarray:
     if isinstance(region, PeriodicStripe):
         raise ValueError("use windowed enumeration for periodic stripes")
-    if isinstance(region, TriangleRegion):
-        b, a = np.indices((region.n, region.n)).reshape(2, -1)
-        inside = a + b <= region.n - 1
-        return a[inside], b[inside]
-    b, a = np.indices((region.k, max(0, region.x_max - region.x_min + 1))).reshape(2, -1)
-    return a + region.x_min, b
-
-
-def _triangle_ranks(region: Region, upright_only: bool) -> np.ndarray:
-    a_pts, b_pts = _point_arrays(region)
+    a_pts, b_pts = region.point_arrays()
     a_lo = int(a_pts.min(initial=0))
     height = int(b_pts.max(initial=0)) + 1
     rank = np.full((int(a_pts.max(initial=0)) - a_lo + 1, height), -1, dtype=np.int64)

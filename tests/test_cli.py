@@ -5,14 +5,15 @@ from pathlib import Path
 import pytest
 
 from trilat.cli import main, render_svg
-from trilat.coloring import read_certificate, write_certificate
-from trilat.constructions import chevron_coloring
+from trilat.coloring import Coloring, is_proper, read_certificate, write_certificate
+from trilat.constructions import banded_coloring, chevron_coloring
 from trilat.counting import report_closed
 from trilat.solver import decide_k_colorable
-from trilat.lattice import TriangleRegion
+from trilat.lattice import StripeWindow, TriangleRegion
 from trilat.triples import fano_plane, write_triples
 
 SATSTUB = f"{sys.executable} {Path(__file__).with_name('satstub.py')}"
+CERT_DIR = Path(__file__).resolve().parent.parent / "certificates"
 
 
 def run(capsys, *argv):
@@ -121,8 +122,7 @@ def test_construct_banded(capsys, tmp_path):
 
 def test_verify_improper_exit_code(capsys, tmp_path):
     region = TriangleRegion(3)
-    from trilat.coloring import Coloring
-    bad = Coloring(region, {p: 0 for p in region.points()}, 1)
+    bad = Coloring(region, [0] * region.size(), 1)
     cert = tmp_path / "bad.cert"
     cert.write_text(write_certificate(bad))
     code, out, _ = run(capsys, "verify", str(cert))
@@ -148,8 +148,7 @@ def test_verify_malformed_exit_code(capsys, tmp_path):
 ])
 def test_verify_malformed_header_values(capsys, tmp_path, old, new):
     region = TriangleRegion(3)
-    from trilat.coloring import Coloring
-    text = write_certificate(Coloring(region, {p: 0 for p in region.points()}, 1))
+    text = write_certificate(Coloring(region, [0] * region.size(), 1))
     cert = tmp_path / "bad.cert"
     cert.write_text(text.replace(old, new))
     code, _, err = run(capsys, "verify", str(cert))
@@ -163,6 +162,93 @@ def test_solve_missing_external_solver(capsys, tmp_path):
     assert code == 3
     assert "s UNKNOWN" in out
     assert "cannot run solver" in err
+
+
+def test_f_missing_external_solver(capsys, tmp_path):
+    code, out, err = run(capsys, "f", "--n", "5", "--sat-cmd", str(tmp_path / "no-such-solver"))
+    assert code == 3
+    assert out == "f(5) in [1, 3]\n"
+    assert "external solver: cannot run solver" in err
+
+
+def test_verify_one_color_t600(capsys, tmp_path):
+    # a single color class of 180,300 points is scanned in bounded blocks
+    region = TriangleRegion(600)
+    col = Coloring(region, [0] * region.size(), 1)
+    ok, witness = is_proper(col)
+    assert not ok
+    assert witness.vertices() == ((0, 0), (1, 0), (0, 1))
+    cert = tmp_path / "one_color.cert"
+    cert.write_text(write_certificate(col))
+    assert run(capsys, "verify", str(cert))[:2] == (
+        1, "improper: monochromatic triangle [(0, 0), (1, 0), (0, 1)]\n")
+
+
+def _planted(text, points, color):
+    """A certificate text with the given points recolored."""
+    lines = text.split("\n")
+    for a, b in points:
+        [row] = [i for i, ln in enumerate(lines) if ln.startswith(f"{a} {b} ")]
+        lines[row] = f"{a} {b} {color}"
+    return "\n".join(lines)
+
+
+def _tri(x, y, side, i):
+    """The triangle with offset i inscribed in the upright triangle at (x, y) of this side."""
+    return [(x + i, y), (x + side - i, y + i), (x, y + side - i)]
+
+
+def _banded60(*plants):
+    """The banded T60 certificate (34 colors), with each (x, y, side, i, color)
+    planted triangle recolored."""
+    block = read_certificate((CERT_DIR / "s6_p4_k4.cert").read_text())
+    text = write_certificate(banded_coloring(60, block, 6, 15))
+    for *shape, color in plants:
+        text = _planted(text, _tri(*shape), color)
+    return text
+
+
+def _window_coloring():
+    w = StripeWindow(4, -3, 6)
+    planted = set(_tri(-3, 0, 3, 1))
+    return Coloring(w, [1 if p in planted else (p.a + 2 * p.b) % 3 if p.b < 2
+                        else (2 * p.a + p.b) % 4 for p in w.points()], 4)
+
+
+# Witnesses recorded from the checker before its grid rewrite: the first hit
+# in class order (first appearance in rank order), then row-major pair order.
+# With two planted classes the class order decides, with two bad triangles in
+# one class the pair order does.
+PINNED_WITNESSES = {
+    "banded60_early": (lambda: _banded60((3, 5, 7, 2, 1)), [(5, 5), (8, 7), (3, 10)]),
+    "banded60_mid": (lambda: _banded60((10, 20, 12, 5, 17)), [(3, 19), (15, 20), (2, 32)]),
+    "banded60_late": (lambda: _banded60((30, 2, 20, 0, 33)), [(30, 2), (50, 2), (30, 22)]),
+    "banded60_two_classes": (lambda: _banded60((31, 0, 4, 3, 27), (0, 28, 20, 8, 14)),
+                             [(34, 0), (38, 0), (34, 4)]),
+    "banded60_two_triangles": (lambda: _banded60((6, 20, 19, 0, 1), (41, 17, 1, 0, 24)),
+                               [(43, 0), (26, 16), (42, 17)]),
+    "stripe_planted": (lambda: _planted((CERT_DIR / "s6_p4_k4.cert").read_text(),
+                                        _tri(1, 1, 3, 1), 3),
+                       [(2, 1), (3, 2), (1, 3)]),
+    "stripe_wraps": (lambda: _planted((CERT_DIR / "s6_p4_k4.cert").read_text(), [(3, 0)], 1),
+                     [(3, 0), (7, 0), (3, 4)]),
+    "window": (_window_coloring, [(0, 0), (1, 1), (-1, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_WITNESSES)
+def test_witness_order_pinned(capsys, tmp_path, case):
+    build, witness = PINNED_WITNESSES[case]
+    expected = f"improper: monochromatic triangle {witness}\n"
+    made = build()
+    if isinstance(made, Coloring):  # stripe windows have no certificate format
+        ok, found = is_proper(made)
+        assert not ok
+        assert f"improper: monochromatic triangle {[tuple(p) for p in found.vertices()]}\n" == expected
+        return
+    cert = tmp_path / f"{case}.cert"
+    cert.write_text(made)
+    assert run(capsys, "verify", str(cert))[:2] == (1, expected)
 
 
 def test_dimacs_export_import_roundtrip(capsys, tmp_path):
@@ -263,10 +349,8 @@ def test_render_deterministic(capsys, tmp_path):
 
 
 def test_render_witness_overlay(tmp_path):
-    from trilat.coloring import Coloring
     region = TriangleRegion(3)
-    bad = Coloring(region, {p: 0 for p in region.points()}, 1)
-    from trilat.coloring import is_proper
+    bad = Coloring(region, [0] * region.size(), 1)
     _, witness = is_proper(bad)
     svg = render_svg(bad, witness)
     assert "<polygon" in svg

@@ -13,12 +13,34 @@ from trilat.coloring import (
     stripe_span_bound,
     write_certificate,
 )
-from trilat.lattice import LatticePoint, PeriodicStripe, StripeWindow, TriangleRegion, symmetries
+from trilat.lattice import (
+    LatticePoint,
+    PeriodicStripe,
+    StripeWindow,
+    TriangleRegion,
+    norm,
+    symmetries,
+)
 from trilat.triangles import enumerate_triangles
 
 
 def uniform(region, color=0, k=1):
-    return Coloring(region, {p: color for p in region.points()}, k)
+    return Coloring(region, [color] * region.size(), k)
+
+
+def agrees_with_scan(c):
+    """is_proper gives the scan oracle's verdict, and any witness it gives is a
+    monochromatic equilateral triangle of the region."""
+    ok, witness = is_proper(c)
+    assert ok == is_proper_scan(c)[0]
+    if witness is not None:
+        p, q, r = witness.vertices()
+        sides = {norm(q - p), norm(r - q), norm(p - r)}
+        assert len(sides) == 1 and 0 not in sides
+        assert all(c.region.contains(v) for v in (p, q, r))
+        periodic = isinstance(c.region, PeriodicStripe)
+        colors = {c.assignment[c.region.reduce(v) if periodic else v] for v in (p, q, r)}
+        assert len(colors) == 1
 
 
 def test_monochromatic_t2():
@@ -29,27 +51,25 @@ def test_monochromatic_t2():
 
 def test_all_two_colorings_of_t4_improper():
     region = TriangleRegion(4)
-    pts = list(region.points())
     for bits in itertools.product(range(2), repeat=10):
-        c = Coloring(region, dict(zip(pts, bits)), 2)
+        c = Coloring(region, bits, 2)
         assert not is_proper(c)[0]
 
 
 def test_mod3_coloring_agrees_with_scan():
     region = TriangleRegion(4)
-    c = Coloring(region, {p: (p.a + p.b) % 3 for p in region.points()}, 3)
+    c = Coloring(region, [(p.a + p.b) % 3 for p in region.points()], 3)
     assert is_proper(c) == is_proper_scan(c)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_pair_and_scan_checkers_agree(n):
     rng = random.Random(n)
     region = TriangleRegion(n)
-    pts = list(region.points())
     for _ in range(15):
         k = rng.randint(1, 4)
-        c = Coloring(region, {p: rng.randrange(k) for p in pts}, k)
-        assert is_proper(c)[0] == is_proper_scan(c)[0]
+        c = Coloring(region, [rng.randrange(k) for _ in range(region.size())], k)
+        agrees_with_scan(c)
 
 
 def test_properness_invariant_under_color_permutation_and_symmetry():
@@ -59,45 +79,50 @@ def test_properness_invariant_under_color_permutation_and_symmetry():
     pts = list(region.points())
     for _ in range(10):
         k = 4
-        assign = {p: rng.randrange(k) for p in pts}
-        verdict = is_proper(Coloring(region, assign, k))[0]
+        colors = [rng.randrange(k) for _ in pts]
+        verdict = is_proper(Coloring(region, colors, k))[0]
         perm = list(range(k))
         rng.shuffle(perm)
-        permuted = {p: perm[c] for p, c in assign.items()}
-        assert is_proper(Coloring(region, permuted, k))[0] == verdict
+        assert is_proper(Coloring(region, [perm[c] for c in colors], k))[0] == verdict
         for f in symmetries(n):
-            mapped = {f(p): c for p, c in assign.items()}
-            assert is_proper(Coloring(region, mapped, k))[0] == verdict
+            mapped = dict(zip(map(f, pts), colors))
+            assert is_proper(Coloring(region, [mapped[p] for p in pts], k))[0] == verdict
 
 
 def test_stripe_window_checker():
     w = StripeWindow(2, 0, 5)
-    c = Coloring(w, {p: 0 for p in w.points()}, 1)
+    c = Coloring(w, [0] * w.size(), 1)
     assert not is_proper(c)[0]
-    c2 = Coloring(w, {p: (p.a + 2 * p.b) % 3 for p in w.points()}, 3)
-    assert is_proper(c2)[0] == is_proper_scan(c2)[0]
+    c2 = Coloring(w, [(p.a + 2 * p.b) % 3 for p in w.points()], 3)
+    agrees_with_scan(c2)
+    # negative and non-zero x_min move the window against the grid padding
+    rng = random.Random(5)
+    for w in [StripeWindow(3, -4, 3), StripeWindow(4, 7, 15), StripeWindow(5, -9, -2),
+              StripeWindow(1, -3, 3), StripeWindow(6, -2, 0)]:
+        for _ in range(10):
+            k = rng.randint(1, 3)
+            agrees_with_scan(Coloring(w, [rng.randrange(k) for _ in range(w.size())], k))
 
 
 def test_periodic_stripe_checker():
     # one row is a line: no triangles at all
     s1 = PeriodicStripe(1, 3)
-    c = Coloring(s1, {p: 0 for p in s1.fundamental_domain()}, 1)
+    c = Coloring(s1, [0] * s1.size(), 1)
     assert is_proper(c)[0]
     # two rows, all one color: improper
     s2 = PeriodicStripe(2, 2)
-    c2 = Coloring(s2, {p: 0 for p in s2.fundamental_domain()}, 1)
+    c2 = Coloring(s2, [0] * s2.size(), 1)
     assert not is_proper(c2)[0]
     assert not is_proper_scan(c2)[0]
 
 
 def test_periodic_vs_scan_randomized():
     rng = random.Random(3)
-    for k, p in [(2, 3), (3, 2), (4, 4)]:
+    for k, p in itertools.product(range(1, 7), range(1, 7)):
         s = PeriodicStripe(k, p)
-        for _ in range(10):
-            kk = rng.randint(1, 3)
-            c = Coloring(s, {q: rng.randrange(kk) for q in s.fundamental_domain()}, kk)
-            assert is_proper(c)[0] == is_proper_scan(c)[0]
+        for _ in range(6):
+            kk = rng.randint(1, 4)
+            agrees_with_scan(Coloring(s, [rng.randrange(kk) for _ in range(s.size())], kk))
 
 
 def test_span_bound_dominates_triangle_extent():
@@ -115,13 +140,13 @@ def test_span_bound_dominates_triangle_extent():
 def test_color_count():
     assert color_count(uniform(TriangleRegion(1))) == 1
     region = TriangleRegion(3)
-    c = Coloring(region, {p: 2 * ((p.a + p.b) % 2) for p in region.points()}, 3)
+    c = Coloring(region, [2 * ((p.a + p.b) % 2) for p in region.points()], 3)
     assert color_count(c) == 2  # gaps in the palette are not counted
 
 
 def test_certificate_roundtrip():
     region = TriangleRegion(4)
-    c = Coloring(region, {p: (p.a + p.b) % 3 for p in region.points()}, 3)
+    c = Coloring(region, [(p.a + p.b) % 3 for p in region.points()], 3)
     text = write_certificate(c)
     assert write_certificate(read_certificate(text)) == text
     back = read_certificate(text)
@@ -131,14 +156,14 @@ def test_certificate_roundtrip():
 
 def test_certificate_stripe_roundtrip():
     s = PeriodicStripe(3, 2)
-    c = Coloring(s, {p: p.b for p in s.fundamental_domain()}, 3)
+    c = Coloring(s, [p.b for p in s.fundamental_domain()], 3)
     text = write_certificate(c)
     assert write_certificate(read_certificate(text)) == text
 
 
 def test_certificate_comments_ignored():
     region = TriangleRegion(2)
-    c = Coloring(region, {p: 0 if p.b else p.a for p in region.points()}, 2)
+    c = Coloring(region, [0 if p.b else p.a for p in region.points()], 2)
     text = write_certificate(c)
     commented = text.replace("colors 2", "colors 2\n# a comment")
     assert read_certificate(commented).assignment == c.assignment
@@ -151,16 +176,40 @@ def test_certificate_comments_ignored():
     (lambda t: t + "9 9 0\n", "outside"),
     (lambda t: t.replace("colors 3", "colors 2"), "color out of range"),
     (lambda t: t.replace("region triangle 4", "region blob 4"), "region"),
+    (lambda t: t + "0 0\n", "bad point line: '0 0'"),
+    (lambda t: t + "0 x 0\n", "bad point line"),
+    (lambda t: t + "3 0 1 # note\n", "bad point line"),
+    (lambda t: t.replace("0 0 0\n", "0 0 0\n# note\n0 0 1\n"), "duplicate point: '0 0 1'"),
+    (lambda t: t.replace("0 0 0\n", "99999999999999999999999 0 0\n"), "outside region"),
+    (lambda t: t.replace("0 0 0\n", "0 0 -1\n"), "color out of range: '0 0 -1'"),
+    (lambda t: t.replace("0 0 0\n", "0 4 0\n"), "outside region: '0 4 0'"),
 ])
 def test_certificate_errors(mutate, message):
     region = TriangleRegion(4)
-    c = Coloring(region, {p: (p.a + p.b) % 3 for p in region.points()}, 3)
+    c = Coloring(region, [(p.a + p.b) % 3 for p in region.points()], 3)
     text = write_certificate(c)
     with pytest.raises(CertificateError, match=message):
         read_certificate(mutate(text))
 
 
+def test_stripe_certificate_outside_domain():
+    text = write_certificate(Coloring(PeriodicStripe(3, 2), [0, 1, 1, 2, 2, 0], 3))
+    with pytest.raises(CertificateError, match="outside fundamental domain: '2 0 1'"):
+        read_certificate(text.replace("1 0 1", "2 0 1"))
+
+
+def test_assignment_view():
+    region = TriangleRegion(3)
+    c = Coloring(region, range(6), 6)
+    assert len(c.assignment) == 6
+    assert list(c.assignment) == list(region.points())
+    assert c.assignment[(2, 0)] == 2 and c.assignment[LatticePoint(0, 2)] == 5
+    assert c.assignment is c.assignment
+    with pytest.raises(ValueError):
+        c.colors[0] = 1  # the array is read-only, so the view cannot go stale
+
+
 def test_partial_coloring_rejected():
     region = TriangleRegion(2)
     with pytest.raises(CertificateError, match="partial"):
-        Coloring(region, {LatticePoint(0, 0): 0}, 1)
+        Coloring(region, [0], 1)

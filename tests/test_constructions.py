@@ -1,6 +1,16 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from trilat.coloring import Coloring, color_count, is_proper, is_proper_scan
+from trilat.coloring import (
+    Coloring,
+    color_count,
+    is_proper,
+    is_proper_scan,
+    read_certificate,
+    write_certificate,
+)
 from trilat.constructions import (
     ConstructionError,
     banded_coloring,
@@ -10,6 +20,8 @@ from trilat.constructions import (
 )
 from trilat.lattice import LatticePoint, PeriodicStripe, TriangleRegion
 from trilat.solver import SAT, decide_k_colorable, solve_periodic_stripe
+
+CERT_DIR = Path(__file__).resolve().parent.parent / "certificates"
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +92,7 @@ def test_stripe_partition_input_validation():
     with pytest.raises(ValueError, match="Triangle"):
         stripe_partition_coloring(3, chevron_coloring(4))
     region = TriangleRegion(3)
-    bad = Coloring(region, {p: 0 for p in region.points()}, 1)
+    bad = Coloring(region, [0] * region.size(), 1)
     with pytest.raises(ConstructionError):
         stripe_partition_coloring(3, bad)
 
@@ -91,7 +103,7 @@ def test_banded_input_validation(block6):
     with pytest.raises(ValueError, match="nonnegative"):
         banded_coloring(30, block6, w=6, d=-1)
     region = PeriodicStripe(6, 2)
-    bad = Coloring(region, {p: 0 for p in region.fundamental_domain()}, 1)
+    bad = Coloring(region, [0] * region.size(), 1)
     with pytest.raises(ConstructionError, match="base block"):
         banded_coloring(30, bad, w=6, d=15)
 
@@ -131,3 +143,48 @@ def test_banded_degenerate_small_n(block6):
     c = banded_coloring(8, block6, d=16)
     assert is_proper(c)[0]
     assert color_count(c) <= 16
+
+
+def _banded_by_points(n, block, w, d, left_phase=0, right_phase=1):
+    """The banded layout computed point by point, as the reference for the array code."""
+    period, kb = block.region.period, block.num_colors
+    m, c0 = n - 1, n - 1 - d // 2
+    colors = []
+    for a, b in TriangleRegion(n).points():
+        x, j = 2 * a + b, n - 1 - a - b
+        if c0 <= x < c0 + d:
+            colors.append(x - c0)
+            continue
+        if x < m or (x == m and a <= j):
+            band, line = divmod(a, w)
+            sub = block.assignment[((a + b + left_phase) % period, w - 1 - line)]
+        else:
+            band, line = divmod(j, w)
+            sub = block.assignment[((-b + right_phase) % period, w - 1 - line)]
+        colors.append(d + band * kb + sub)
+    used = sorted(set(colors))
+    return [used.index(c) for c in colors]
+
+
+@pytest.mark.parametrize("n,d,phases", [(1, 0, (0, 1)), (8, 16, (0, 1)), (40, 15, (0, 1)),
+                                        (61, 15, (2, 3)), (61, 0, (1, 0)), (30, 7, (3, 2))])
+def test_array_constructions_match_point_loops(block6, n, d, phases):
+    col = banded_coloring(n, block6, 6, d, verify=False, left_phase=phases[0],
+                          right_phase=phases[1])
+    assert col.colors.tolist() == _banded_by_points(n, block6, 6, d, *phases)
+    assert col.num_colors == color_count(col)
+    chevron = chevron_coloring(n, verify=False)
+    assert chevron.colors.tolist() == [0 if 2 * a + b == n - 1 else 1 + min(a, n - 1 - a - b)
+                                       for a, b in TriangleRegion(n).points()]
+
+
+@pytest.mark.parametrize("build,sha,colors", [
+    (lambda block: banded_coloring(600, block, 6, 15, verify=False), "793258690b397de0", 214),
+    (lambda block: chevron_coloring(600, verify=False), "671d3ec628ad3340", 301),
+    (lambda block: banded_coloring(300, block, 6, 15, verify=False), "91162388350e30b1", 114),
+])
+def test_large_certificates_byte_identical(build, sha, colors):
+    block = read_certificate((CERT_DIR / "s6_p4_k4.cert").read_text())
+    text = write_certificate(build(block))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == sha
+    assert read_certificate(text).num_colors == colors

@@ -58,10 +58,9 @@ def test_sat_payload_always_checked():
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
 def test_backtracking_agrees_with_exhaustive(n, k):
     region = TriangleRegion(n)
-    pts = list(region.points())
     exhaustive = any(
-        is_proper(Coloring(region, dict(zip(pts, bits)), k))[0]
-        for bits in itertools.product(range(k), repeat=len(pts))
+        is_proper(Coloring(region, bits, k))[0]
+        for bits in itertools.product(range(k), repeat=region.size())
     )
     assert (decide_k_colorable(region, k).status == SAT) == exhaustive
 
@@ -165,10 +164,9 @@ def test_run_sat_command_timeout():
 
 def test_periodic_tiny_agrees_with_exhaustive():
     s = PeriodicStripe(2, 1)
-    cells = list(s.fundamental_domain())
     exhaustive = any(
-        is_proper(Coloring(s, dict(zip(cells, bits)), 2))[0]
-        for bits in itertools.product(range(2), repeat=len(cells))
+        is_proper(Coloring(s, bits, 2))[0]
+        for bits in itertools.product(range(2), repeat=s.size())
     )
     assert (solve_periodic_stripe(2, 1, 2).status == SAT) == exhaustive
 
