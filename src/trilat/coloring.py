@@ -32,7 +32,6 @@ window of one period plus that bound holds a translate of every triangle.
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -223,31 +222,28 @@ def _point_lines(body: list[str]) -> list[str]:
     return [ln for ln in map(str.strip, body) if ln and not ln.startswith("#")]
 
 
-# point values are clamped to this magnitude so that a + b stays within int64;
-# that changes no check against a region narrower than it
+# point values are clamped to this magnitude, so that a + b stays within int64;
+# the header caps the region's extents and the color count at it, so clamping
+# changes no check
 _CLAMP = 1 << 61
 
 
-def _point_rows(body: list[str]) -> np.ndarray:
-    """The point lines as an (N, 3) int array of (a, b, color) rows."""
-    text = "\n".join(body)
-    if "#" not in text and text.strip():  # comments and odd lines take the loop below
-        try:
-            rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-            if rows.shape[1] == 3:
-                return rows
-        except ValueError:  # a malformed or out-of-range line: found and named below
-            pass
-    rows = []
-    for ln in _point_lines(body):
+def _point_rows(lines: list[str]) -> tuple[np.ndarray, Optional[str]]:
+    """The (a, b, color) rows of the point lines, as an (N, 3) int array, up to
+    the first malformed line; that line, or None, comes second."""
+    values, malformed = [], None
+    for ln in lines:
         parts = ln.split()
         try:
             if len(parts) != 3:
                 raise ValueError("expected 'a b color'")
-            rows.append([max(-_CLAMP, min(_CLAMP, int(x))) for x in parts])
-        except ValueError as e:
-            raise CertificateError(f"bad point line: {ln!r}") from e
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+            values += [int(parts[0]), int(parts[1]), int(parts[2])]
+        except ValueError:
+            malformed = ln
+            break
+    if values and not -_CLAMP <= min(values) <= max(values) <= _CLAMP:
+        values = [max(-_CLAMP, min(_CLAMP, v)) for v in values]
+    return np.array(values, dtype=np.int64).reshape(-1, 3), malformed
 
 
 def read_certificate(text: str) -> Coloring:
@@ -265,11 +261,15 @@ def read_certificate(text: str) -> Coloring:
     region_parts = header[1].split()
     try:
         if region_parts[:2] == ["region", "triangle"] and len(region_parts) == 3:
-            region: Region = TriangleRegion(int(region_parts[2]))
+            extents = [int(region_parts[2])]
+            region: Region = TriangleRegion(*extents)
         elif region_parts[:2] == ["region", "stripe"] and len(region_parts) == 5 and region_parts[3] == "period":
-            region = PeriodicStripe(int(region_parts[2]), int(region_parts[4]))
+            extents = [int(region_parts[2]), int(region_parts[4])]
+            region = PeriodicStripe(*extents)
         else:
             raise ValueError("unknown region")
+        if max(extents) > _CLAMP:
+            raise ValueError("wider than 2**61")
     except ValueError as e:  # int() and the region constructors raise ValueError
         raise CertificateError(f"bad region line: {header[1]!r} ({e})") from e
     colors_parts = header[2].split()
@@ -277,13 +277,16 @@ def read_certificate(text: str) -> Coloring:
         if colors_parts[0] != "colors" or len(colors_parts) != 2:
             raise ValueError("expected 'colors <count>'")
         num_colors = int(colors_parts[1])
+        if num_colors > _CLAMP:
+            raise ValueError("more than 2**61 colors")
     except ValueError as e:
         raise CertificateError(f"bad colors line: {header[2]!r} ({e})") from e
     if num_colors < 1:
         raise CertificateError("colors must be positive")
 
-    body = raw[pos:]
-    a, b, col = _point_rows(body).T
+    lines = _point_lines(raw[pos:])
+    rows, malformed = _point_rows(lines)
+    a, b, col = rows.T
     if isinstance(region, PeriodicStripe):
         where = "fundamental domain"
         inside = (a >= 0) & (a < region.period) & (b >= 0) & (b < region.k)
@@ -297,18 +300,21 @@ def read_certificate(text: str) -> Coloring:
     duplicate[order[1:][same]] = True
     bad_color = (col < 0) | (col >= num_colors)
     bad = ~inside | duplicate | bad_color
-    if bad.any():  # report the first bad line, by the first check it fails
+    # report the first bad line, by the first check it fails; the rows stop
+    # before a malformed line, so a bad line ahead of it comes first
+    if bad.any():
         r = int(bad.argmax())
-        ln = _point_lines(body)[r]
         if not inside[r]:
-            raise CertificateError(f"point outside {where}: {ln!r}")
+            raise CertificateError(f"point outside {where}: {lines[r]!r}")
         if duplicate[r]:
-            raise CertificateError(f"duplicate point: {ln!r}")
-        raise CertificateError(f"color out of range: {ln!r}")
+            raise CertificateError(f"duplicate point: {lines[r]!r}")
+        raise CertificateError(f"color out of range: {lines[r]!r}")
+    if malformed is not None:
+        raise CertificateError(f"bad point line: {malformed!r}")
     # every point is in the region and distinct, so a short count means a gap;
     # checking it first keeps a huge declared region from being laid out
     if a.size != region.size():
         raise CertificateError("partial coloring")
-    colors = np.empty(a.size, dtype=np.int64)
+    colors = np.full(a.size, -1, dtype=np.int64)  # a slot left unfilled fails the range check
     colors[region.rank(a, b)] = col
     return Coloring(region, colors, num_colors)

@@ -183,6 +183,18 @@ def test_certificate_comments_ignored():
     (lambda t: t.replace("0 0 0\n", "99999999999999999999999 0 0\n"), "outside region"),
     (lambda t: t.replace("0 0 0\n", "0 0 -1\n"), "color out of range: '0 0 -1'"),
     (lambda t: t.replace("0 0 0\n", "0 4 0\n"), "outside region: '0 4 0'"),
+    # both fit in int64 but their sum wraps round to a negative number
+    (lambda t: t.replace("0 0 0\n", "5764607523034234880 6917529027641081856 0\n"),
+     "outside region: '5764607523034234880 6917529027641081856 0'"),
+    (lambda t: t.replace("0 0 0\n", "0.0 0 0\n"), "bad point line: '0.0 0 0'"),
+    (lambda t: t.replace("1 0 1\n", "1e0 0 1\n"), "bad point line: '1e0 0 1'"),
+    # the first bad line in file order is reported, whichever check it fails
+    (lambda t: t.replace("0 0 0\n", "9 9 0\n") + "0 x 0\n", "outside region: '9 9 0'"),
+    (lambda t: t.replace("0 0 0\n", "0 x 0\n") + "9 9 0\n", "bad point line: '0 x 0'"),
+    (lambda t: t.replace("1 0 1\n", "1 0 9\n0 0\n"), "color out of range: '1 0 9'"),
+    (lambda t: t.replace("region triangle 4", "region triangle 2305843009213693953"),
+     "bad region line"),
+    (lambda t: t.replace("colors 3", "colors 2305843009213693953"), "bad colors line"),
 ])
 def test_certificate_errors(mutate, message):
     region = TriangleRegion(4)
