@@ -49,6 +49,30 @@ def _budget(args) -> solver.Budget:
                          max_seconds=getattr(args, "timeout", None))
 
 
+def _emit(text: str, output) -> None:
+    """Write text to the --output file, or to stdout when none is given."""
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _cnf(args) -> solver.CnfInstance:
+    """The DIMACS instance of the --n triangle or the --stripe/--period stripe."""
+    region = (PeriodicStripe(args.stripe, args.period)
+              if args.stripe else TriangleRegion(args.n))
+    return solver.export_dimacs(region, args.colors)
+
+
+def _read_certificate(path: str):
+    """The coloring in a certificate file, or None once the fault is on stderr."""
+    try:
+        return read_certificate(Path(path).read_text())
+    except (OSError, CertificateError) as e:
+        print(f"malformed certificate: {e}", file=sys.stderr)
+        return None
+
+
 def cmd_count(args) -> int:
     rows = []
     for n in range(args.n_min, args.n + 1):
@@ -92,11 +116,7 @@ def cmd_solve(args) -> int:
     print(f"c nodes {out.stats.nodes} elapsed {out.stats.elapsed:.3f}s")
     if out.status == solver.SAT:
         print("s SATISFIABLE")
-        text = write_certificate(out.coloring)
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _emit(write_certificate(out.coloring), args.output)
         return 0
     if out.status == solver.UNSAT:
         print("s UNSATISFIABLE")
@@ -129,33 +149,33 @@ def cmd_construct(args) -> int:
         col = constructions.chevron_coloring(args.n)
     else:
         if args.block:
-            block = read_certificate(Path(args.block).read_text())
+            block = _read_certificate(args.block)
+            if block is None:
+                return EX_MALFORMED
         else:
             out = solver.solve_periodic_stripe(args.width, 4, 4, _budget(args))
             if out.status != solver.SAT:
                 print(f"no base block found for the {args.width}-row stripe", file=sys.stderr)
                 return EX_UNKNOWN
             block = out.coloring
-        if args.d is not None:
-            col = constructions.banded_coloring(args.n, block, args.width, args.d)
-        else:
-            d = constructions.minimal_spacer(args.n, block, args.width)
-            col = constructions.banded_coloring(args.n, block, args.width, d)
-            print(f"c minimal spacer d = {d}", file=sys.stderr)
-    text = write_certificate(col)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            if args.d is not None:
+                col = constructions.banded_coloring(args.n, block, args.width, args.d)
+            else:
+                d = constructions.minimal_spacer(args.n, block, args.width)
+                col = constructions.banded_coloring(args.n, block, args.width, d)
+                print(f"c minimal spacer d = {d}", file=sys.stderr)
+        except ValueError as e:  # a block of the wrong stripe, a negative spacer
+            print(f"cannot build banded coloring: {e}", file=sys.stderr)
+            return EX_MALFORMED
+    _emit(write_certificate(col), args.output)
     print(f"c colors used: {color_count(col)}", file=sys.stderr)
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        col = read_certificate(Path(args.file).read_text())
-    except (OSError, CertificateError) as e:
-        print(f"malformed certificate: {e}", file=sys.stderr)
+    col = _read_certificate(args.file)
+    if col is None:
         return EX_MALFORMED
     ok, witness = is_proper(col)
     if ok:
@@ -166,31 +186,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dimacs(args) -> int:
-    region = (PeriodicStripe(args.stripe, args.period)
-              if args.stripe else TriangleRegion(args.n))
-    cnf = solver.export_dimacs(region, args.colors)
-    text = cnf.to_dimacs()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(_cnf(args).to_dimacs(), args.output)
     return 0
 
 
 def cmd_import_solution(args) -> int:
-    region = (PeriodicStripe(args.stripe, args.period)
-              if args.stripe else TriangleRegion(args.n))
-    cnf = solver.export_dimacs(region, args.colors)
     try:
-        col = solver.import_assignment(cnf, Path(args.file).read_text())
-    except ValueError as e:
+        col = solver.import_assignment(_cnf(args), Path(args.file).read_text())
+    except (OSError, ValueError) as e:
         print(f"bad assignment: {e}", file=sys.stderr)
         return EX_MALFORMED
-    text = write_certificate(col)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_certificate(col), args.output)
     return 0
 
 
@@ -200,11 +206,7 @@ def cmd_stripe(args) -> int:
         out = solver.solve_periodic_stripe(args.k, p, args.colors, _budget(args))
         print(f"c k={args.k} period={p}: {out.status}")
         if out.status == solver.SAT:
-            text = write_certificate(out.coloring)
-            if args.output:
-                Path(args.output).write_text(text)
-            else:
-                sys.stdout.write(text)
+            _emit(write_certificate(out.coloring), args.output)
             return 0
         if out.status == solver.UNKNOWN:
             return EX_UNKNOWN
@@ -276,21 +278,15 @@ def render_svg(col: Coloring, witness=None, scale: float = 24.0) -> str:
 
 
 def cmd_render(args) -> int:
-    try:
-        col = read_certificate(Path(args.file).read_text())
-    except (OSError, CertificateError) as e:
-        print(f"malformed certificate: {e}", file=sys.stderr)
+    col = _read_certificate(args.file)
+    if col is None:
         return EX_MALFORMED
     witness = None
     if args.witness:
         ok, witness = is_proper(col)
         if ok:
             witness = None
-    svg = render_svg(col, witness)
-    if args.output:
-        Path(args.output).write_text(svg)
-    else:
-        sys.stdout.write(svg)
+    _emit(render_svg(col, witness), args.output)
     return 0
 
 

@@ -138,6 +138,9 @@ def minimal_spacer(n: int, base_block: Coloring, w: int = 6,
     Ascending scan from 0; `start` (defaulting to 0) can skip known-bad small
     values.  Finite: at d large enough every point is in a middle column.
     """
+    ok, witness = is_proper(base_block)
+    if not ok:  # no spacer helps, and the scan below would never end
+        raise ConstructionError("base block improper", witness)
     d = 0 if start is None else start
     while True:
         try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import TriangleRegion
-from .triangles import apex_candidates, classify_pairs, count_upright, enumerate_triangles
+from .triangles import apex_candidates, classify_pairs, count_upright, triangle_ranks
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -165,11 +165,10 @@ def report_closed(n: int) -> CountReport:
 
 def report_brute(n: int) -> CountReport:
     region = TriangleRegion(n)
-    tris = enumerate_triangles(region)
     cls = classify_pairs(region)
     return CountReport(
         n=n,
-        alpha=len(tris),
+        alpha=len(triangle_ranks(region)),
         beta=count_upright(region),
         gamma=cls.a0 + cls.a1 + cls.a2,
         a0=cls.a0,

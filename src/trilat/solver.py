@@ -54,133 +54,6 @@ class SolveOutcome:
     solver_stderr: str = ""  # external solver's error output, when it gave no verdict
 
 
-class _Csp:
-    """Not-all-equal / not-equal constraint system over 0..nvars-1."""
-
-    def __init__(self, nvars: int, ternary: np.ndarray, binary: np.ndarray):
-        self.nvars = nvars
-        # per variable: ternary constraints as (other1, other2), binary as other
-        self.tri_of = [[] for _ in range(nvars)]
-        self.bin_of = [[] for _ in range(nvars)]
-        for (i, j, k) in ternary.tolist():
-            self.tri_of[i].append((j, k))
-            self.tri_of[j].append((i, k))
-            self.tri_of[k].append((i, j))
-        for (i, j) in binary.tolist():
-            self.bin_of[i].append(j)
-            self.bin_of[j].append(i)
-        self.degree = [len(self.tri_of[v]) + len(self.bin_of[v]) for v in range(nvars)]
-
-
-def _solve_csp(csp: _Csp, K: int, budget: Budget) -> tuple[str, Optional[list[int]], SolveStats]:
-    n = csp.nvars
-    stats = SolveStats()
-    if n == 0:
-        return (SAT, [], stats)
-    full = (1 << K) - 1
-    dom = [full] * n
-    color = [-1] * n
-    trail: list[list[tuple[int, int]]] = []  # per depth: (var, removed bits)
-    order: list[int] = []  # assigned vars in order
-    start = time.monotonic()
-    deadline = start + budget.max_seconds if budget.max_seconds is not None else None
-
-    def out_of_budget() -> bool:
-        if budget.max_nodes is not None and stats.nodes >= budget.max_nodes:
-            return True
-        if deadline is not None and stats.nodes % 256 == 0 and time.monotonic() > deadline:
-            return True
-        return False
-
-    def prune(v: int, c: int, removed: list[tuple[int, int]]) -> bool:
-        bit = 1 << c
-        if dom[v] & bit:
-            dom[v] &= ~bit
-            removed.append((v, bit))
-            if dom[v] == 0 and color[v] < 0:
-                return False
-        return True
-
-    def assign(v: int, c: int) -> bool:
-        color[v] = c
-        removed: list[tuple[int, int]] = []
-        trail.append(removed)
-        order.append(v)
-        ok = True
-        for u in csp.bin_of[v]:
-            if color[u] == c:
-                ok = False
-                break
-            if color[u] < 0 and not prune(u, c, removed):
-                ok = False
-                break
-        if ok:
-            for (u, w) in csp.tri_of[v]:
-                cu, cw = color[u], color[w]
-                if cu == c and cw == c:
-                    ok = False
-                    break
-                if cu == c and cw < 0 and not prune(w, c, removed):
-                    ok = False
-                    break
-                if cw == c and cu < 0 and not prune(u, c, removed):
-                    ok = False
-                    break
-        return ok
-
-    def unassign():
-        v = order.pop()
-        color[v] = -1
-        for (u, bit) in trail.pop():
-            dom[u] |= bit
-
-    max_used_stack = [-1]
-
-    def search() -> str:
-        if len(order) == n:
-            return SAT
-        if out_of_budget():
-            stats.budget_exhausted = True
-            return UNKNOWN
-        max_used = max_used_stack[-1]
-        cap_mask = (1 << min(K, max_used + 2)) - 1
-        best_v, best_size = -1, K + 2
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            size = bin(dom[v] & cap_mask).count("1")
-            if size < best_size or (size == best_size and best_v >= 0
-                                    and csp.degree[v] > csp.degree[best_v]):
-                best_v, best_size = v, size
-                if size == 0:
-                    break
-        v = best_v
-        avail = dom[v] & cap_mask
-        c = 0
-        while avail >> c:
-            if (avail >> c) & 1:
-                stats.nodes += 1
-                ok = assign(v, c)
-                if ok:
-                    max_used_stack.append(max(max_used, c))
-                    res = search()
-                    max_used_stack.pop()
-                    if res == SAT:
-                        return SAT  # keep the assignment intact
-                    if res == UNKNOWN:
-                        unassign()
-                        return UNKNOWN
-                unassign()
-            c += 1
-        return UNSAT
-
-    status = search()
-    stats.elapsed = time.monotonic() - start
-    if status == SAT:
-        return (status, list(color), stats)
-    return (status, None, stats)
-
-
 def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndarray]:
     """The coloring constraints of a region: (points, ternary, binary).
 
@@ -208,30 +81,108 @@ def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndar
 
 
 def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> SolveOutcome:
-    """Exact K-colorability of a finite region."""
+    """Exact K-colorability of T_n, a stripe window or a periodic stripe.
+
+    A periodic stripe's SAT payload is a base block, a coloring of its
+    fundamental domain.  The search is one loop over an explicit stack with a
+    frame per assigned variable: [variable, its untried color bits, the
+    largest color used above it, the (var, bit) removals its color made].
+    """
     if K < 1:
         raise ValueError("K must be positive")
-    if isinstance(region, PeriodicStripe):
-        return solve_periodic_stripe(region.k, region.period, K, budget)
-    return _decide(region, K, budget)
+    pts, ternary, binary = constraints(region)
+    n = len(pts)
+    # tri_of[v]: one (u, w) per constraint on v; once two of v, u, w have a
+    # color the third must avoid it.  A binary row (i, j) acts as (i, i, j).
+    tri_of = [[] for _ in range(n)]
+    for (i, j, k) in ternary.tolist():
+        tri_of[i].append((j, k))
+        tri_of[j].append((i, k))
+        tri_of[k].append((i, j))
+    for (i, j) in binary.tolist():
+        tri_of[i].append((i, j))
+        tri_of[j].append((j, i))
+    degree = [len(t) for t in tri_of]
+    dom = [(1 << K) - 1] * n
+    color = [-1] * n
+    stats = SolveStats()
+    start = time.monotonic()
+    deadline = start + budget.max_seconds if budget.max_seconds is not None else None
+    stack: list[list] = []
+    while True:
+        if len(stack) == n:
+            status = SAT
+            break
+        if ((budget.max_nodes is not None and stats.nodes >= budget.max_nodes)
+                or (deadline is not None and stats.nodes % 256 == 0
+                    and time.monotonic() > deadline)):
+            stats.budget_exhausted = True
+            status = UNKNOWN
+            break
+        # a color may be at most one more than the largest used on this branch
+        max_used = max(stack[-1][2], color[stack[-1][0]]) if stack else -1
+        cap_mask = (1 << min(K, max_used + 2)) - 1
+        # most constrained variable first, ties to the higher degree
+        best_v, best_size = -1, K + 2
+        for v in range(n):
+            if color[v] >= 0:
+                continue
+            size = (dom[v] & cap_mask).bit_count()
+            if size < best_size or (size == best_size and best_v >= 0
+                                    and degree[v] > degree[best_v]):
+                best_v, best_size = v, size
+                if size == 0:
+                    break
+        stack.append([best_v, dom[best_v] & cap_mask, max_used, []])
+        # undo the top frame's color and give it the next one that survives
+        # forward checking; pop frames that run out of colors
+        while stack:
+            frame = stack[-1]
+            v, untried, _, removed = frame
+            color[v] = -1
+            for (u, bit) in removed:
+                dom[u] |= bit
+            if not untried:
+                stack.pop()
+                continue
+            bit = untried & -untried
+            c = bit.bit_length() - 1
+            frame[1] = untried ^ bit
+            frame[3] = removed = []
+            stats.nodes += 1
+            color[v] = c
+            for (u, w) in tri_of[v]:
+                if color[u] == c:
+                    x = w
+                elif color[w] == c:
+                    x = u
+                else:
+                    continue
+                if color[x] == c:
+                    break  # a monochromatic constraint: next color
+                if color[x] < 0 and dom[x] & bit:
+                    dom[x] ^= bit
+                    removed.append((x, bit))
+                    if not dom[x]:
+                        break  # a wiped-out domain: next color
+            else:
+                break  # consistent: pick the next variable
+        else:  # the first variable ran out of colors
+            status = UNSAT
+            break
+    stats.elapsed = time.monotonic() - start
+    if status != SAT:
+        return SolveOutcome(status, None, stats)
+    coloring = Coloring(region, color, K)
+    ok, witness = is_proper(coloring)
+    if not ok:
+        raise RuntimeError(f"solver produced improper coloring, witness {witness}")
+    return SolveOutcome(SAT, coloring, stats)
 
 
 def solve_periodic_stripe(k: int, period: int, K: int, budget: Budget = Budget()) -> SolveOutcome:
     """Existence of a period-p K-coloring of the k-row stripe; SAT payload is a base block."""
-    return _decide(PeriodicStripe(k, period), K, budget)
-
-
-def _decide(region: Region, K: int, budget: Budget) -> SolveOutcome:
-    pts, ternary, binary = constraints(region)
-    csp = _Csp(len(pts), ternary, binary)
-    status, colors, stats = _solve_csp(csp, K, budget)
-    if status == SAT:
-        coloring = Coloring(region, colors, K)
-        ok, witness = is_proper(coloring)
-        if not ok:
-            raise RuntimeError(f"solver produced improper coloring, witness {witness}")
-        return SolveOutcome(SAT, coloring, stats)
-    return SolveOutcome(status, None, stats)
+    return decide_k_colorable(PeriodicStripe(k, period), K, budget)
 
 
 @dataclass
@@ -349,8 +300,9 @@ def import_assignment(cnf: CnfInstance, assignment_text: str) -> Coloring:
         raise ValueError(f"incomplete/invalid assignment: no color for point {p}")
     coloring = Coloring(cnf.region, truth.argmax(axis=1), cnf.K)  # lowest true color
     ok, witness = is_proper(coloring)
-    if not ok:
-        raise RuntimeError(f"imported coloring improper (encoder bug?), witness {witness}")
+    if not ok:  # a model of the clauses projects to a proper coloring
+        raise ValueError(f"incomplete/invalid assignment: not a model, "
+                         f"monochromatic triangle {witness}")
     return coloring
 
 

@@ -112,45 +112,44 @@ def search_modified_sts(v: int, r: int, max_nodes: int = 5_000_000):
     cand_pairs = [tuple(pair_ids[frozenset(p)] for p in combinations(c, 2))
                   for c in candidates]
     mult = [0] * pairs_total
+    # one loop over an explicit stack: chosen[d] is the candidate taken at
+    # depth d, twos[d] the doubly covered pairs after d choices, ci the next
+    # candidate to try at the current depth
     chosen: list[int] = []
-    nodes = 0
-
-    def search(start: int, twos: int) -> Optional[str]:
-        nonlocal nodes
-        if len(chosen) == target:
-            zeros = sum(1 for m in mult if m == 0)
-            if zeros == r and twos == r:
-                return "SAT"
-            return None
-        if len(candidates) - start < target - len(chosen):
-            return None
-        for ci in range(start, len(candidates)):
-            nodes += 1
-            if nodes > max_nodes:
-                return "UNKNOWN"
-            ps = cand_pairs[ci]
-            if any(mult[p] >= 2 for p in ps):
-                continue
-            new_twos = twos + sum(1 for p in ps if mult[p] == 1)
-            if new_twos > r:
-                continue
-            for p in ps:
-                mult[p] += 1
-            chosen.append(ci)
-            res = search(ci + 1, new_twos)
-            if res is not None:
-                return res
-            chosen.pop()
-            for p in ps:
+    twos = [0]
+    ci = nodes = 0
+    while True:
+        if ci == len(candidates):
+            if not chosen:
+                return "UNSAT"
+            ci = chosen.pop()
+            twos.pop()
+            for p in cand_pairs[ci]:
                 mult[p] -= 1
-        return None
-
-    res = search(0, 0)
-    if res == "SAT":
-        return TripleSystem(v, [frozenset(candidates[ci]) for ci in chosen])
-    if res == "UNKNOWN":
-        return "UNKNOWN"
-    return "UNSAT"
+            ci += 1
+            continue
+        nodes += 1
+        if nodes > max_nodes:
+            return "UNKNOWN"
+        ps = cand_pairs[ci]
+        ci += 1
+        if any(mult[p] >= 2 for p in ps):
+            continue
+        new_twos = twos[-1] + sum(mult[p] for p in ps)  # each mult[p] is 0 or 1 here
+        if new_twos > r:
+            continue
+        for p in ps:
+            mult[p] += 1
+        chosen.append(ci - 1)
+        twos.append(new_twos)
+        # a branch just extended: done, or backtrack when it is complete or
+        # too few candidates are left (never so at the root: C(v, 3) >= target)
+        if len(chosen) == target:
+            if mult.count(0) == r and new_twos == r:
+                return TripleSystem(v, [frozenset(candidates[c]) for c in chosen])
+            ci = len(candidates)
+        elif len(candidates) - ci < target - len(chosen):
+            ci = len(candidates)
 
 
 # -- file format --------------------------------------------------------------

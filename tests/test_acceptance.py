@@ -4,6 +4,8 @@ Each test prints a single `criterion N: PASS`/`FAIL` line (run with `pytest -s`
 or see captured output) and enforces the stated time budget on this machine.
 """
 
+import os
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -174,3 +176,16 @@ def test_criterion_11_offline_operation():
                 assert banned not in text, f"{py.name} uses {banned}"
         for name in ("t09_k4.cert", "s6_p4_k4.cert"):
             assert (CERT_DIR / name).exists()
+
+
+def test_regenerate_certificates_check():
+    # the end-to-end certificate command: every committed certificate is what
+    # the deterministic solver produces today, byte for byte
+    root = CERT_DIR.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "regenerate_certificates.py"),
+                           "--check"], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = sorted(p.name for p in CERT_DIR.glob("*.cert"))
+    assert len(names) == 13
+    assert sorted(proc.stdout.split()) == sorted(["ok"] * 13 + names)

@@ -120,6 +120,25 @@ def test_construct_banded(capsys, tmp_path):
     assert code == 0
 
 
+def test_construct_banded_bad_block(capsys, tmp_path):
+    one_color = tmp_path / "one_color.cert"
+    block = (CERT_DIR / "s6_p4_k4.cert").read_text().splitlines()
+    one_color.write_text("\n".join(block[:3] + [ln.rsplit(" ", 1)[0] + " 0"
+                                                for ln in block[3:]]) + "\n")
+    cases = [
+        (["--block", str(tmp_path / "missing.cert")], "malformed certificate:"),
+        (["--block", str(CERT_DIR / "t09_k4.cert")],
+         "cannot build banded coloring: base block must color the 6-row stripe"),
+        # minimal_spacer used to scan d = 0, 1, 2, ... forever on an improper block
+        (["--block", str(one_color)], "cannot build banded coloring: base block improper"),
+        (["--d", "-1"], "cannot build banded coloring: d must be nonnegative"),
+    ]
+    for extra, message in cases:
+        code, out, err = run(capsys, "construct", "--scheme", "banded", "--n", "30", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+
+
 def test_verify_improper_exit_code(capsys, tmp_path):
     region = TriangleRegion(3)
     bad = Coloring(region, [0] * region.size(), 1)
@@ -283,6 +302,15 @@ def test_import_solution_malformed(capsys, tmp_path):
                        "--colors", "3")
     assert code == 2
     assert "bad assignment" in err
+    # every variable true projects to color 0 everywhere: not a model
+    model.write_text("v " + " ".join(map(str, range(1, 31))) + " 0\n")
+    code, _, err = run(capsys, "import-solution", str(model), "--n", "4", "--colors", "3")
+    assert code == 2
+    assert err.startswith("bad assignment: incomplete/invalid assignment: not a model")
+    code, _, err = run(capsys, "import-solution", str(tmp_path / "missing.txt"),
+                       "--n", "4", "--colors", "3")
+    assert code == 2
+    assert err.startswith("bad assignment: [Errno 2]")
 
 
 def test_stripe_search(capsys):
@@ -311,6 +339,14 @@ def test_triples_check_and_search(capsys, tmp_path):
     code, out, _ = run(capsys, "triples", "search", "--v", "5", "--r", "0")
     assert code == 0
     assert "s UNSATISFIABLE" in out
+
+
+def test_triples_search_deep_budget(capsys):
+    # v = 100 needs 1650 triples, a search deeper than Python's recursion limit
+    code, out, _ = run(capsys, "triples", "search", "--v", "100", "--r", "0",
+                       "--nodes", "200000")
+    assert code == 3
+    assert out == "s UNKNOWN\n"
 
 
 def test_triples_malformed(capsys, tmp_path):

@@ -65,6 +65,31 @@ def test_backtracking_agrees_with_exhaustive(n, k):
     assert (decide_k_colorable(region, k).status == SAT) == exhaustive
 
 
+STRIPE_S6_K3_NODES = [3, 18, 75, 171, 461, 2205, 7071, 15703, 20313, 22960, 24328, 25144]
+
+
+@pytest.mark.parametrize("solve,status,nodes", [
+    *[(lambda n=n: decide_k_colorable(TriangleRegion(n), 3), UNSAT, nodes)
+      for n, nodes in [(9, 4193), (10, 3810), (11, 3919)]],
+    *[(lambda p=p: solve_periodic_stripe(6, p, 3), UNSAT, nodes)
+      for p, nodes in enumerate(STRIPE_S6_K3_NODES, start=1)],
+    (lambda: decide_k_colorable(TriangleRegion(12), 4), SAT, 762),
+    (lambda: decide_k_colorable(TriangleRegion(9), 3, Budget(max_nodes=5)), UNKNOWN, 5),
+], ids=["T9k3", "T10k3", "T11k3", *[f"S6p{p}k3" for p in range(1, 13)], "T12k4", "T9k3-budget5"])
+def test_search_order_pinned(solve, status, nodes):
+    """Status and node count of the exact search: any change to the variable
+    or color order, the pruning or the budget check moves these numbers."""
+    out = solve()
+    assert (out.status, out.stats.nodes) == (status, nodes)
+
+
+def test_deep_instance_no_recursion_limit():
+    # T45 has 1035 points, one search frame each: past Python's recursion limit
+    out = decide_k_colorable(TriangleRegion(45), 23)
+    assert out.status == SAT
+    assert is_proper(out.coloring)[0]
+
+
 def test_budget_exhaustion_reports_unknown():
     out = decide_k_colorable(TriangleRegion(9), 3, Budget(max_nodes=5))
     assert out.status == UNKNOWN
