@@ -113,7 +113,8 @@ def cmd_solve(args) -> int:
                                                  timeout=args.timeout)
     else:
         out = solver.decide_k_colorable(region, args.colors, _budget(args))
-    print(f"c nodes {out.stats.nodes} elapsed {out.stats.elapsed:.3f}s")
+    st = out.stats
+    print(f"c nodes {st.nodes} elapsed {st.elapsed:.3f}s build {st.build_s:.3f}s depth {st.max_depth}")
     if out.status == solver.SAT:
         print("s SATISFIABLE")
         _emit(write_certificate(out.coloring), args.output)

@@ -8,6 +8,11 @@ color symmetry break: a value may only be one more than the largest color used
 so far on the current branch.  UNSAT is reported only on exhausted search;
 budget cutoffs yield UNKNOWN.
 
+The variable choice is word-parallel: variables are renumbered by degree, and
+per-color bitsets of the variables whose domain still holds that color make
+"fewest colors, then highest degree, then first" a few big-int operations and
+a lowest-set-bit, instead of a scan over every variable at every node.
+
 Instances beyond the internal solver's reach can be exported as DIMACS CNF and
 handed to any SAT-competition-style solver via a subprocess command.
 """
@@ -42,7 +47,9 @@ class Budget:
 @dataclass
 class SolveStats:
     nodes: int = 0
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # the search alone
+    build_s: float = 0.0  # constraints and the search's index, before the search
+    max_depth: int = 0    # most variables colored at once
     budget_exhausted: bool = False
 
 
@@ -80,68 +87,117 @@ def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndar
     return list(region.fundamental_domain()), ternary, binary
 
 
+def _fewest_colors(ds: list[int], candidates: int) -> int:
+    """The candidates whose bit is set in the fewest of the masks `ds`.
+
+    A bit-sliced counter: planes[b] holds bit b of each variable's count.
+    From the top plane down, keep the candidates with a 0 there, if any.
+    """
+    planes: list[int] = []
+    for carry in ds:
+        for b, plane in enumerate(planes):
+            planes[b], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    for plane in reversed(planes):
+        if candidates & ~plane:
+            candidates &= ~plane
+    return candidates
+
+
 def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> SolveOutcome:
     """Exact K-colorability of T_n, a stripe window or a periodic stripe.
 
     A periodic stripe's SAT payload is a base block, a coloring of its
     fundamental domain.  The search is one loop over an explicit stack with a
     frame per assigned variable: [variable, its untried color bits, the
-    largest color used above it, the (var, bit) removals its color made].
+    largest color used above it, the variables its color was removed from,
+    D[color] before that removal].
+
+    Variables are renumbered by (degree descending, rank) before the search,
+    so "fewest colors under the cap, then higher degree, then first" is the
+    lowest set bit of a mask.  D[c] is the bitset of variables whose domain
+    still holds c and U the bitset of uncolored ones; one pass over D[:cap]
+    gives the variables with at least one, two and three colors, and a
+    bit-sliced count settles the rare node where every candidate has more.
+    Forward checking flips a variable's bit in D[c] with its domain bit, and
+    the frame keeps the old D[c] to restore it.  When several variables have
+    no color left under the cap, the lowest-numbered one is taken, not the
+    first by rank as a scan would; the choice is harmless, because that frame
+    has nothing to try and is popped before it counts a node.  The colors are
+    mapped back to rank order for the payload.
     """
     if K < 1:
         raise ValueError("K must be positive")
+    stats = SolveStats()
+    start = time.monotonic()
     pts, ternary, binary = constraints(region)
     n = len(pts)
+    degree = np.bincount(ternary.ravel(), minlength=n) + np.bincount(binary.ravel(), minlength=n)
+    order = np.argsort(-degree, kind="stable")  # search index -> rank
+    index = np.empty(n, dtype=np.int64)         # rank -> search index
+    index[order] = np.arange(n)
     # tri_of[v]: one (u, w) per constraint on v; once two of v, u, w have a
     # color the third must avoid it.  A binary row (i, j) acts as (i, i, j).
     tri_of = [[] for _ in range(n)]
-    for (i, j, k) in ternary.tolist():
+    for (i, j, k) in index[ternary].tolist():
         tri_of[i].append((j, k))
         tri_of[j].append((i, k))
         tri_of[k].append((i, j))
-    for (i, j) in binary.tolist():
+    for (i, j) in index[binary].tolist():
         tri_of[i].append((i, j))
         tri_of[j].append((j, i))
-    degree = [len(t) for t in tri_of]
+    bits = [1 << v for v in range(n)]
     dom = [(1 << K) - 1] * n
     color = [-1] * n
-    stats = SolveStats()
-    start = time.monotonic()
-    deadline = start + budget.max_seconds if budget.max_seconds is not None else None
+    D = [(1 << n) - 1] * K  # D[c]: the variables whose domain holds c
+    U = (1 << n) - 1        # the uncolored variables
+    max_nodes = budget.max_nodes
+    nodes = max_depth = 0
+    search_start = time.monotonic()
+    stats.build_s = search_start - start
+    deadline = search_start + budget.max_seconds if budget.max_seconds is not None else None
     stack: list[list] = []
     while True:
-        if len(stack) == n:
+        depth = len(stack)
+        if depth > max_depth:
+            max_depth = depth
+        if depth == n:
             status = SAT
             break
-        if ((budget.max_nodes is not None and stats.nodes >= budget.max_nodes)
-                or (deadline is not None and stats.nodes % 256 == 0
+        if ((max_nodes is not None and nodes >= max_nodes)
+                or (deadline is not None and nodes % 256 == 0
                     and time.monotonic() > deadline)):
             stats.budget_exhausted = True
             status = UNKNOWN
             break
         # a color may be at most one more than the largest used on this branch
         max_used = max(stack[-1][2], color[stack[-1][0]]) if stack else -1
-        cap_mask = (1 << min(K, max_used + 2)) - 1
-        # most constrained variable first, ties to the higher degree
-        best_v, best_size = -1, K + 2
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            size = (dom[v] & cap_mask).bit_count()
-            if size < best_size or (size == best_size and best_v >= 0
-                                    and degree[v] > degree[best_v]):
-                best_v, best_size = v, size
-                if size == 0:
-                    break
-        stack.append([best_v, dom[best_v] & cap_mask, max_used, []])
+        cap = min(K, max_used + 2)
+        # the most constrained variable, ties to the higher degree: the lowest
+        # bit of the uncolored variables with the fewest colors under the cap
+        # (with none left, any one will do: its frame is popped at once)
+        ge1 = ge2 = ge3 = 0
+        for d in D[:cap]:
+            ge3 |= ge2 & d
+            ge2 |= ge1 & d
+            ge1 |= d
+        cand = U & ~ge1 or U & ~ge2 or U & ~ge3 or _fewest_colors(D[:cap], U)
+        v = (cand & -cand).bit_length() - 1
+        stack.append([v, dom[v] & ((1 << cap) - 1), max_used, (), 0])
         # undo the top frame's color and give it the next one that survives
         # forward checking; pop frames that run out of colors
         while stack:
             frame = stack[-1]
-            v, untried, _, removed = frame
-            color[v] = -1
-            for (u, bit) in removed:
-                dom[u] |= bit
+            v, untried, _, removed, saved = frame
+            c = color[v]
+            if c >= 0:
+                color[v] = -1
+                U |= bits[v]
+                D[c] = saved
+                bit = 1 << c
+                for x in removed:
+                    dom[x] |= bit
             if not untried:
                 stack.pop()
                 continue
@@ -149,8 +205,10 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
             c = bit.bit_length() - 1
             frame[1] = untried ^ bit
             frame[3] = removed = []
-            stats.nodes += 1
+            frame[4] = Dc = D[c]
+            nodes += 1
             color[v] = c
+            U ^= bits[v]
             for (u, w) in tri_of[v]:
                 if color[u] == c:
                     x = w
@@ -162,18 +220,23 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
                     break  # a monochromatic constraint: next color
                 if color[x] < 0 and dom[x] & bit:
                     dom[x] ^= bit
-                    removed.append((x, bit))
+                    Dc ^= bits[x]
+                    removed.append(x)
                     if not dom[x]:
                         break  # a wiped-out domain: next color
             else:
+                D[c] = Dc
                 break  # consistent: pick the next variable
         else:  # the first variable ran out of colors
             status = UNSAT
             break
-    stats.elapsed = time.monotonic() - start
+    stats.elapsed = time.monotonic() - search_start
+    stats.nodes, stats.max_depth = nodes, max_depth
     if status != SAT:
         return SolveOutcome(status, None, stats)
-    coloring = Coloring(region, color, K)
+    by_rank = np.empty(n, dtype=np.int64)
+    by_rank[order] = color
+    coloring = Coloring(region, by_rank, K)
     ok, witness = is_proper(coloring)
     if not ok:
         raise RuntimeError(f"solver produced improper coloring, witness {witness}")
@@ -347,7 +410,10 @@ def decide_k_colorable_external(region: Region, K: int, sat_cmd: str,
     cnf = export_dimacs(region, K)
     status, model, stderr = run_sat_command(sat_cmd, cnf.to_dimacs(), timeout)
     if status == SAT:
-        return SolveOutcome(SAT, import_assignment(cnf, model), SolveStats())
+        try:
+            return SolveOutcome(SAT, import_assignment(cnf, model), SolveStats())
+        except ValueError as e:  # a SAT answer whose model is not one: no verdict
+            status, stderr = UNKNOWN, f"solver said SAT, model rejected: {e}\n{stderr}".strip()
     return SolveOutcome(status, None, SolveStats(), solver_stderr=stderr)
 
 

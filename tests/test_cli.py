@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -73,6 +74,12 @@ def test_solve_unsat(capsys):
     code, out, _ = run(capsys, "solve", "--n", "4", "--colors", "2")
     assert code == 0
     assert "s UNSATISFIABLE" in out
+
+
+def test_solve_stats_line(capsys):
+    code, out, _ = run(capsys, "solve", "--n", "4", "--colors", "3")
+    assert code == 0
+    assert re.match(r"c nodes 10 elapsed \d+\.\d{3}s build \d+\.\d{3}s depth 10\n", out)
 
 
 def test_solve_unknown_exit(capsys):
@@ -181,6 +188,32 @@ def test_solve_missing_external_solver(capsys, tmp_path):
     assert code == 3
     assert "s UNKNOWN" in out
     assert "cannot run solver" in err
+
+
+def _all_true_solver(tmp_path):
+    """A solver command that answers SAT with every variable true: not a model."""
+    stub = tmp_path / "alltrue.py"
+    stub.write_text("import sys\n"
+                    "n = int(next(l for l in open(sys.argv[1]) if l.startswith('p')).split()[2])\n"
+                    "print('s SATISFIABLE')\n"
+                    "print('v', *range(1, n + 1), 0)\n")
+    return f"{sys.executable} {stub}"
+
+
+def test_solve_external_non_model(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", "--n", "4", "--colors", "3",
+                         "--sat-cmd", _all_true_solver(tmp_path))
+    assert code == 3
+    assert "s UNKNOWN" in out
+    assert "model rejected" in err and "monochromatic triangle" in err
+
+
+def test_f_external_non_model(capsys, tmp_path):
+    code, out, err = run(capsys, "f", "--n", "4", "--sat-cmd", _all_true_solver(tmp_path))
+    assert code == 3
+    assert out == "f(4) in [1, 3]\n"
+    assert "external solver: solver said SAT, model rejected" in err
+    assert "monochromatic triangle" in err
 
 
 def test_f_missing_external_solver(capsys, tmp_path):

@@ -1,16 +1,19 @@
+import hashlib
 import itertools
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from trilat.coloring import Coloring, color_count, is_proper
+from trilat.coloring import Coloring, color_count, is_proper, write_certificate
 from trilat.lattice import LatticePoint, PeriodicStripe, TriangleRegion
 from trilat.solver import (
     SAT,
     UNKNOWN,
     UNSAT,
     Budget,
+    _fewest_colors,
     compute_f,
     decide_k_colorable,
     decide_k_colorable_external,
@@ -68,19 +71,47 @@ def test_backtracking_agrees_with_exhaustive(n, k):
 STRIPE_S6_K3_NODES = [3, 18, 75, 171, 461, 2205, 7071, 15703, 20313, 22960, 24328, 25144]
 
 
-@pytest.mark.parametrize("solve,status,nodes", [
-    *[(lambda n=n: decide_k_colorable(TriangleRegion(n), 3), UNSAT, nodes)
+@pytest.mark.parametrize("solve,status,nodes,sha", [
+    *[(lambda n=n: decide_k_colorable(TriangleRegion(n), 3), UNSAT, nodes, None)
       for n, nodes in [(9, 4193), (10, 3810), (11, 3919)]],
-    *[(lambda p=p: solve_periodic_stripe(6, p, 3), UNSAT, nodes)
+    *[(lambda p=p: solve_periodic_stripe(6, p, 3), UNSAT, nodes, None)
       for p, nodes in enumerate(STRIPE_S6_K3_NODES, start=1)],
-    (lambda: decide_k_colorable(TriangleRegion(12), 4), SAT, 762),
-    (lambda: decide_k_colorable(TriangleRegion(9), 3, Budget(max_nodes=5)), UNKNOWN, 5),
-], ids=["T9k3", "T10k3", "T11k3", *[f"S6p{p}k3" for p in range(1, 13)], "T12k4", "T9k3-budget5"])
-def test_search_order_pinned(solve, status, nodes):
-    """Status and node count of the exact search: any change to the variable
-    or color order, the pruning or the budget check moves these numbers."""
+    (lambda: decide_k_colorable(TriangleRegion(12), 4), SAT, 762, "578805bbef3c63d9"),
+    (lambda: decide_k_colorable(TriangleRegion(9), 3, Budget(max_nodes=5)), UNKNOWN, 5, None),
+    (lambda: decide_k_colorable(TriangleRegion(16), 5), SAT, 39731, "c330a717aa8a8f5d"),
+    (lambda: solve_periodic_stripe(6, 4, 4), SAT, 787, "666eaa66c7f704bc"),
+    (lambda: decide_k_colorable(TriangleRegion(45), 23), SAT, 1035, "c35e91da94c28940"),
+    (lambda: decide_k_colorable(TriangleRegion(12), 4, Budget(max_nodes=77)), UNKNOWN, 77, None),
+], ids=["T9k3", "T10k3", "T11k3", *[f"S6p{p}k3" for p in range(1, 13)], "T12k4", "T9k3-budget5",
+        "T16k5", "S6p4k4", "T45k23", "T12k4-budget77"])
+def test_search_order_pinned(solve, status, nodes, sha):
+    """Status, node count and SAT certificate (sha256 prefix) of the exact
+    search: any change to the variable or color order, the pruning or the
+    budget check moves these, and so does a renumbering slip that still
+    returns some other proper coloring."""
     out = solve()
     assert (out.status, out.stats.nodes) == (status, nodes)
+    assert out.stats.budget_exhausted == (status == UNKNOWN)
+    cert = write_certificate(out.coloring) if out.coloring is not None else None
+    assert (cert and hashlib.sha256(cert.encode()).hexdigest()[:16]) == sha
+
+
+def test_fewest_colors_matches_popcount():
+    rng = random.Random(5)
+    for _ in range(200):
+        ds = [rng.getrandbits(40) for _ in range(rng.randrange(1, 12))]
+        cand = rng.getrandbits(40) | 1
+        counts = {v: sum(d >> v & 1 for d in ds) for v in range(40) if cand >> v & 1}
+        low = min(counts.values())
+        assert _fewest_colors(ds, cand) == sum(1 << v for v, k in counts.items() if k == low)
+
+
+def test_solve_stats_phases():
+    out = decide_k_colorable(TriangleRegion(4), 3)
+    assert out.status == SAT and out.stats.max_depth == 10  # every point colored
+    assert out.stats.build_s > 0
+    out = decide_k_colorable(TriangleRegion(4), 2)
+    assert out.status == UNSAT and 0 < out.stats.max_depth < 10
 
 
 def test_deep_instance_no_recursion_limit():
