@@ -11,17 +11,20 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import constructions, counting, solver, triples
 from .coloring import (
     CertificateError,
     Coloring,
     color_count,
+    format_rows,
     is_proper,
     read_certificate,
     write_certificate,
 )
 from .lattice import LatticePoint, PeriodicStripe, TriangleRegion
-from .triangles import classify_pairs, enumerate_triangles
+from .triangles import classify_pairs, triangle_ranks
 
 EX_USAGE = 64
 EX_IMPROPER = 1
@@ -88,12 +91,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    tris = enumerate_triangles(TriangleRegion(args.n))
+    region = TriangleRegion(args.n)
+    a, b = region.point_arrays()
+    ranks = triangle_ranks(region)
+    rows = np.stack([a[ranks], b[ranks]], axis=2).reshape(-1, 6)  # a, b of each vertex
     if args.format == "json":
-        print(json.dumps([[list(p) for p in t.vertices()] for t in tris]))
+        print("[" + format_rows("[[%d, %d], [%d, %d], [%d, %d]]", rows, ", ") + "]")
     else:
-        for t in tris:
-            print("\t".join(f"{p.a} {p.b}" for p in t.vertices()))
+        sys.stdout.write(format_rows("%d %d\t%d %d\t%d %d\n", rows))
     return 0
 
 
@@ -227,7 +232,8 @@ def cmd_triples(args) -> int:
             return EX_IMPROPER
         print(f"modified triple system with r = {r}")
         return 0
-    res = triples.search_modified_sts(args.v, args.r, max_nodes=args.nodes or 5_000_000)
+    max_nodes = 5_000_000 if args.nodes is None else args.nodes
+    res = triples.search_modified_sts(args.v, args.r, max_nodes=max_nodes)
     if res == "UNSAT":
         print("s UNSATISFIABLE")
         return 0

@@ -205,6 +205,20 @@ def is_proper_scan(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
 MAGIC = "trilat-coloring v1"
 
 
+# rows formatted per chunk, so no tuple of a whole large array is built
+_FORMAT_ROWS = 1 << 15
+
+
+def format_rows(line: str, rows: np.ndarray, sep: str = "") -> str:
+    """`line % tuple(row)` for each row of a 2-D int array, joined by `sep`.
+
+    One %-format per chunk of rows: the text of certificates, DIMACS clause
+    blocks and triangle listings.
+    """
+    return sep.join(sep.join([line] * len(chunk)) % tuple(chunk.ravel().tolist())
+                    for chunk in np.split(rows, range(_FORMAT_ROWS, len(rows), _FORMAT_ROWS)))
+
+
 def write_certificate(c: Coloring) -> str:
     if isinstance(c.region, TriangleRegion):
         region_line = f"region triangle {c.region.n}"
@@ -213,8 +227,8 @@ def write_certificate(c: Coloring) -> str:
     else:
         raise CertificateError("only triangle and periodic stripe certificates are supported")
     a, b = c.region.point_arrays()
-    rows = tuple(np.stack([a, b, c.colors], axis=1).ravel().tolist())
-    return f"{MAGIC}\n{region_line}\ncolors {c.num_colors}\n" + "%d %d %d\n" * a.size % rows
+    rows = format_rows("%d %d %d\n", np.stack([a, b, c.colors], axis=1))
+    return f"{MAGIC}\n{region_line}\ncolors {c.num_colors}\n" + rows
 
 
 def _point_lines(body: list[str]) -> list[str]:

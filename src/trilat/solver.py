@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import shlex
 import subprocess
+import sys
 import tempfile
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .coloring import Coloring, is_proper, stripe_span_bound
+from .coloring import Coloring, format_rows, is_proper, stripe_span_bound
 from .lattice import LatticePoint, PeriodicStripe, Region, StripeWindow, TriangleRegion
 from .triangles import triangle_ranks
 
@@ -152,23 +154,22 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
     color = [-1] * n
     D = [(1 << n) - 1] * K  # D[c]: the variables whose domain holds c
     U = (1 << n) - 1        # the uncolored variables
-    max_nodes = budget.max_nodes
+    # the node budget is checked where a node is counted, so it is never overshot
+    limit = budget.max_nodes if budget.max_nodes is not None else sys.maxsize
     nodes = max_depth = 0
     search_start = time.monotonic()
     stats.build_s = search_start - start
     deadline = search_start + budget.max_seconds if budget.max_seconds is not None else None
     stack: list[list] = []
-    while True:
+    status = None
+    while status is None:
         depth = len(stack)
         if depth > max_depth:
             max_depth = depth
         if depth == n:
             status = SAT
             break
-        if ((max_nodes is not None and nodes >= max_nodes)
-                or (deadline is not None and nodes % 256 == 0
-                    and time.monotonic() > deadline)):
-            stats.budget_exhausted = True
+        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
             status = UNKNOWN
             break
         # a color may be at most one more than the largest used on this branch
@@ -201,6 +202,9 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
             if not untried:
                 stack.pop()
                 continue
+            if nodes >= limit:
+                status = UNKNOWN
+                break
             bit = untried & -untried
             c = bit.bit_length() - 1
             frame[1] = untried ^ bit
@@ -229,9 +233,9 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
                 break  # consistent: pick the next variable
         else:  # the first variable ran out of colors
             status = UNSAT
-            break
     stats.elapsed = time.monotonic() - search_start
     stats.nodes, stats.max_depth = nodes, max_depth
+    stats.budget_exhausted = status == UNKNOWN
     if status != SAT:
         return SolveOutcome(status, None, stats)
     by_rank = np.empty(n, dtype=np.int64)
@@ -291,46 +295,68 @@ def compute_f(n: int, budget: Budget = Budget(),
 # -- DIMACS export / import ---------------------------------------------------
 
 
+class _Clauses(Sequence):
+    """Read-only view of a CNF's clause blocks: item i is its i-th clause, a list of ints."""
+
+    def __init__(self, blocks: tuple[np.ndarray, ...]):
+        self._blocks = blocks
+
+    def __len__(self):
+        return sum(len(b) for b in self._blocks)
+
+    def __getitem__(self, i: int) -> list[int]:
+        if i < 0:
+            i += len(self)
+        for block in self._blocks:
+            if 0 <= i < len(block):
+                return block[i].tolist()
+            i -= len(block)
+        raise IndexError("clause index out of range")
+
+    def __iter__(self):
+        for block in self._blocks:
+            yield from block.tolist()
+
+
 @dataclass
 class CnfInstance:
     num_vars: int
-    clauses: list[list[int]]
+    blocks: tuple[np.ndarray, ...]  # clause rows, one int array per clause width, in order
     points: list[LatticePoint]
     K: int
     region: Region
+
+    @property
+    def clauses(self) -> Sequence[list[int]]:
+        return _Clauses(self.blocks)
 
     def var(self, point_rank: int, color: int) -> int:
         return point_rank * self.K + color + 1
 
     def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for cl in self.clauses:
-            lines.append(" ".join(map(str, cl)) + " 0")
-        return "\n".join(lines) + "\n"
+        body = (format_rows("%d " * b.shape[1] + "0\n", b) for b in self.blocks)
+        return f"p cnf {self.num_vars} {len(self.clauses)}\n" + "".join(body)
 
 
 def export_dimacs(region: Region, K: int) -> CnfInstance:
-    """At-least-one-color clause per point plus one forbid clause per (triangle, color).
+    """The K-coloring CNF of a region, as three clause blocks of int literals.
 
-    At-most-one clauses are omitted: projecting a model to each point's lowest
-    true color yields a proper coloring, since a monochromatic triple in the
-    projected colors would falsify that triangle's clause.
+    Variable var(rank, c) = rank * K + c + 1 says the point of that rank has
+    color c.  The blocks, in clause order: one at-least-one-color clause per
+    point, in rank order; then, for each ternary and then each binary row of
+    `constraints(region)`, one clause per color forbidding that color on the
+    whole row, colors innermost.  At-most-one clauses are omitted: projecting
+    a model to each point's lowest true color yields a proper coloring, since
+    a monochromatic triple in the projected colors would falsify that row's
+    clause.
     """
     pts, ternary, binary = constraints(region)
-    inst = CnfInstance(len(pts) * K, [], pts, K, region)
-    for rank in range(len(pts)):
-        inst.clauses.append([inst.var(rank, c) for c in range(K)])
-    # neg[v] is the literal -v; each is one int object that every clause holding
-    # it shares, which keeps the clause lists about half the size
-    neg = np.array([-v for v in range(inst.num_vars + 1)], dtype=object)
+    n = len(pts)
     colors = np.arange(1, K + 1)[:, None]
-    for rows in (ternary, binary):
-        # one clause per (row, color), colors innermost: var(rank, c) = rank * K + c + 1;
-        # built in blocks, so the index array stays small next to the clause lists
-        for start in range(0, len(rows), 1024):
-            lits = neg[rows[start:start + 1024, None, :] * K + colors]
-            inst.clauses.extend(lits.reshape(-1, rows.shape[1]).tolist())
-    return inst
+    blocks = (np.arange(1, n * K + 1).reshape(n, K),
+              *(-(rows[:, None, :] * K + colors).reshape(-1, rows.shape[1])
+                for rows in (ternary, binary)))
+    return CnfInstance(n * K, blocks, pts, K, region)
 
 
 def import_assignment(cnf: CnfInstance, assignment_text: str) -> Coloring:
@@ -407,14 +433,21 @@ def run_sat_command(sat_cmd: str, dimacs_text: str, timeout: Optional[float] = N
 
 def decide_k_colorable_external(region: Region, K: int, sat_cmd: str,
                                 timeout: Optional[float] = None) -> SolveOutcome:
+    """K-colorability by an external SAT solver; `build_s` is the export and
+    its DIMACS text, `elapsed` the solver run."""
+    stats = SolveStats()
+    start = time.monotonic()
     cnf = export_dimacs(region, K)
-    status, model, stderr = run_sat_command(sat_cmd, cnf.to_dimacs(), timeout)
+    text = cnf.to_dimacs()
+    solver_start = time.monotonic()
+    status, model, stderr = run_sat_command(sat_cmd, text, timeout)
+    stats.build_s, stats.elapsed = solver_start - start, time.monotonic() - solver_start
     if status == SAT:
         try:
-            return SolveOutcome(SAT, import_assignment(cnf, model), SolveStats())
+            return SolveOutcome(SAT, import_assignment(cnf, model), stats)
         except ValueError as e:  # a SAT answer whose model is not one: no verdict
             status, stderr = UNKNOWN, f"solver said SAT, model rejected: {e}\n{stderr}".strip()
-    return SolveOutcome(status, None, SolveStats(), solver_stderr=stderr)
+    return SolveOutcome(status, None, stats, solver_stderr=stderr)
 
 
 # -- incomplete search for upper-bound colorings ------------------------------

@@ -13,9 +13,11 @@ form such a system with r = a2(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Optional
+
+import numpy as np
 
 from .lattice import TriangleRegion
 from .solver import constraints
@@ -29,6 +31,8 @@ class TripleSystem:
     triples: list[frozenset]
 
     def __post_init__(self):
+        if self.v >= 1 << 63:  # points are counted as int64
+            raise ValueError(f"too many points: {self.v}")
         seen = set()
         for t in self.triples:
             t = frozenset(t)
@@ -49,17 +53,18 @@ class PairProfile:
 
 
 def profile(ts: TripleSystem) -> PairProfile:
-    mult: dict[frozenset, int] = {}
-    for t in ts.triples:
-        for pair in combinations(sorted(t), 2):
-            key = frozenset(pair)
-            mult[key] = mult.get(key, 0) + 1
-    hist: dict[int, int] = {}
-    for m in mult.values():
-        hist[m] = hist.get(m, 0) + 1
-    hist[0] = comb(ts.v, 2) - len(mult)
-    if hist[0] == 0:
-        del hist[0]
+    points = np.fromiter(chain.from_iterable(ts.triples), dtype=np.int64,
+                         count=3 * len(ts.triples))
+    # a pair's key is built from the ranks of its points among those used
+    used, ranks = np.unique(points, return_inverse=True)
+    tri = np.sort(ranks.reshape(-1, 3), axis=1)
+    keys = np.concatenate([tri[:, 0] * used.size + tri[:, 1],
+                           tri[:, 0] * used.size + tri[:, 2],
+                           tri[:, 1] * used.size + tri[:, 2]])
+    covered = np.unique(keys, return_counts=True)[1]
+    hist = {m: c for m, c in enumerate(np.bincount(covered).tolist()) if c}
+    if comb(ts.v, 2) > covered.size:
+        hist[0] = comb(ts.v, 2) - covered.size
     return PairProfile(hist)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -55,6 +56,34 @@ def test_enumerate_counts(capsys):
     assert len(json.loads(out)) == 15
 
 
+@pytest.mark.parametrize("fmt,sha", [("json", "883ebd71afdaab8b"), ("tsv", "ef00654e88e00979")])
+def test_enumerate_output_pinned(capsys, fmt, sha):
+    code, out, _ = run(capsys, "enumerate", "--n", "30", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == sha
+
+
+@pytest.mark.parametrize("n,json_out,tsv_out", [
+    (1, "[]\n", ""),
+    (2, "[[[0, 0], [1, 0], [0, 1]]]\n", "0 0\t1 0\t0 1\n"),
+    (3, None, None),
+    (4, None, None),
+])
+def test_enumerate_small(capsys, n, json_out, tsv_out):
+    code, out, _ = run(capsys, "enumerate", "--n", str(n), "--format", "json")
+    assert code == 0
+    tris = json.loads(out)
+    assert len(tris) == report_closed(n).alpha
+    assert out == json.dumps(tris) + "\n"  # json.dumps spacing
+    if json_out is not None:
+        assert out == json_out
+    code, tsv, _ = run(capsys, "enumerate", "--n", str(n), "--format", "tsv")
+    assert code == 0
+    assert tsv == "".join("\t".join(f"{a} {b}" for a, b in t) + "\n" for t in tris)
+    if tsv_out is not None:
+        assert tsv == tsv_out
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--n", "5", "--format", "json")
     assert code == 0
@@ -86,6 +115,23 @@ def test_solve_unknown_exit(capsys):
     code, out, _ = run(capsys, "solve", "--n", "9", "--colors", "3", "--nodes", "5")
     assert code == 3
     assert "s UNKNOWN" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--n", "6", "--colors", "3", "--nodes", "0"),
+    ("triples", "search", "--v", "9", "--r", "0", "--nodes", "0"),
+], ids=["solve", "triples"])
+def test_zero_node_budget_unknown(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert "s UNKNOWN" in out.splitlines()
+
+
+def test_solve_external_stats(capsys):
+    code, out, _ = run(capsys, "solve", "--n", "6", "--colors", "3", "--sat-cmd", SATSTUB)
+    assert code == 0
+    m = re.match(r"c nodes 0 elapsed (\d+\.\d{3})s build (\d+\.\d{3})s depth 0\n", out)
+    assert m and float(m[1]) > 0
 
 
 def test_solve_external(capsys):

@@ -15,6 +15,7 @@ from trilat.solver import (
     Budget,
     _fewest_colors,
     compute_f,
+    constraints,
     decide_k_colorable,
     decide_k_colorable_external,
     export_dimacs,
@@ -153,6 +154,50 @@ def test_dimacs_t15_k5_shape():
     assert len(cnf.clauses) == 120 + 2380 * 5
 
 
+@pytest.mark.parametrize("region,k,sha", [
+    (TriangleRegion(20), 7, "a4b9979f37de9efd"),
+    (TriangleRegion(25), 8, "56b4c52b022d91ef"),
+    (PeriodicStripe(6, 12), 3, "274210bb37156140"),
+], ids=["T20k7", "T25k8", "S6p12k3"])
+def test_dimacs_text_pinned(region, k, sha):
+    text = export_dimacs(region, k).to_dimacs()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == sha
+
+
+def reference_clauses(region, k):
+    """The export's clauses built one at a time: a point's at-least-one clause
+    in rank order, then one forbid clause per constraint row and color, colors
+    innermost."""
+    pts, ternary, binary = constraints(region)
+    clauses = [[rank * k + c + 1 for c in range(k)] for rank in range(len(pts))]
+    for rows in (ternary, binary):
+        for row in rows.tolist():
+            for c in range(k):
+                clauses.append([-(rank * k + c + 1) for rank in row])
+    return clauses
+
+
+@pytest.mark.parametrize("region,k", [
+    (TriangleRegion(1), 1), (TriangleRegion(2), 1), (TriangleRegion(4), 2),
+    (PeriodicStripe(1, 1), 2), (PeriodicStripe(3, 2), 2),
+], ids=["T1k1", "T2k1", "T4k2", "S1p1k2", "S3p2k2"])
+def test_clauses_match_reference(region, k):
+    cnf = export_dimacs(region, k)
+    ref = reference_clauses(region, k)
+    assert list(cnf.clauses) == ref
+    assert len(cnf.clauses) == len(ref)
+    assert [cnf.clauses[i] for i in range(-len(ref), len(ref))] == ref + ref
+    with pytest.raises(IndexError):
+        cnf.clauses[len(ref)]
+    text = cnf.to_dimacs()
+    assert text == "".join([f"p cnf {cnf.num_vars} {len(ref)}\n"]
+                           + [" ".join(map(str, cl)) + " 0\n" for cl in ref])
+
+
+def test_stripe_s3p2_has_binary_rows():
+    assert len(constraints(PeriodicStripe(3, 2))[2]) > 0
+
+
 def test_var_mapping():
     cnf = export_dimacs(TriangleRegion(2), 3)
     assert cnf.var(0, 0) == 1
@@ -180,6 +225,26 @@ def test_import_incomplete_rejected():
         import_assignment(cnf, "v " + " ".join(str(-v) for v in range(1, 7)) + " 0")
     with pytest.raises(ValueError, match="incomplete"):
         import_assignment(cnf, "")
+
+
+def test_budget_is_an_upper_bound():
+    for budget in range(1, 401):
+        out = decide_k_colorable(TriangleRegion(13), 4, Budget(max_nodes=budget))
+        assert out.stats.nodes <= budget
+        if out.status == UNKNOWN:
+            assert out.stats.nodes == budget
+
+
+def test_zero_budget_unknown():
+    out = decide_k_colorable(TriangleRegion(4), 3, Budget(max_nodes=0))
+    assert (out.status, out.stats.nodes) == (UNKNOWN, 0)
+
+
+def test_external_stats_recorded():
+    out = decide_k_colorable_external(TriangleRegion(6), 3, SATSTUB)
+    assert out.status == SAT
+    assert out.stats.build_s > 0  # export and DIMACS text
+    assert out.stats.elapsed > 0  # the solver subprocess
 
 
 def test_external_sat_roundtrip():

@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -36,6 +38,28 @@ def test_triangle_system_defect_is_a2(n):
     assert len(ts.triples) == comb(ts.v, 2) // 3
 
 
+def reference_histogram(ts):
+    """Pair multiplicity -> number of pairs, counted pair by pair."""
+    mult = Counter(frozenset(p) for t in ts.triples for p in combinations(sorted(t), 2))
+    hist = Counter(mult.values())
+    if comb(ts.v, 2) > len(mult):
+        hist[0] = comb(ts.v, 2) - len(mult)
+    return dict(hist)
+
+
+@pytest.mark.parametrize("ts", [
+    fano_plane(), triangle_system(1), triangle_system(2), triangle_system(9),
+    TripleSystem(4, [frozenset((1, 2, 3)), frozenset((2, 3, 4))]),
+    TripleSystem(6, [frozenset((1, 2, 3)), frozenset((1, 2, 4)), frozenset((1, 2, 5)),
+                     frozenset((4, 5, 6))]),
+    TripleSystem(3, []),
+    TripleSystem((1 << 63) - 1, [frozenset((1, 2, (1 << 63) - 1)),
+                                 frozenset((2, (1 << 63) - 2, (1 << 63) - 1))]),
+], ids=["fano", "T1", "T2", "T9", "defect1", "triple-pair", "empty", "large-v"])
+def test_profile_matches_reference(ts):
+    assert profile(ts).histogram == reference_histogram(ts)
+
+
 def test_small_positive_defect_example():
     # pair {2,3} is covered twice and {1,4} not at all: defect 1
     ts = TripleSystem(4, [frozenset((1, 2, 3)), frozenset((2, 3, 4))])
@@ -54,6 +78,8 @@ def test_triple_validation():
         TripleSystem(4, [frozenset((1, 2, 5))])
     with pytest.raises(ValueError, match="duplicate"):
         TripleSystem(4, [frozenset((1, 2, 3)), frozenset((3, 2, 1))])
+    with pytest.raises(ValueError, match="too many points"):
+        TripleSystem(1 << 63, [frozenset((1, 2, 3))])
 
 
 def test_divisibility_precondition():
