@@ -71,7 +71,7 @@ def _read_certificate(path: str):
     """The coloring in a certificate file, or None once the fault is on stderr."""
     try:
         return read_certificate(Path(path).read_text())
-    except (OSError, CertificateError) as e:
+    except (OSError, UnicodeDecodeError, CertificateError) as e:
         print(f"malformed certificate: {e}", file=sys.stderr)
         return None
 

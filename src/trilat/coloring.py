@@ -33,10 +33,12 @@ window of one period plus that bound holds a translate of every triangle.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -203,20 +205,26 @@ def is_proper_scan(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
 # -- certificate files --------------------------------------------------------
 
 MAGIC = "trilat-coloring v1"
+_POINT_LINE = "%d %d %d\n"  # one line per point of a certificate: a b color
 
 
 # rows formatted per chunk, so no tuple of a whole large array is built
 _FORMAT_ROWS = 1 << 15
 
 
+def format_chunks(line: str, rows: np.ndarray, sep: str = "") -> Iterator[str]:
+    """`line % tuple(row)` for each row of a 2-D int array, joined by `sep`,
+    one %-format per chunk of rows; the chunks are not joined to each other."""
+    for chunk in np.split(rows, range(_FORMAT_ROWS, len(rows), _FORMAT_ROWS)):
+        yield sep.join([line] * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def format_rows(line: str, rows: np.ndarray, sep: str = "") -> str:
     """`line % tuple(row)` for each row of a 2-D int array, joined by `sep`.
 
-    One %-format per chunk of rows: the text of certificates, DIMACS clause
-    blocks and triangle listings.
+    The text of certificates, DIMACS clause blocks and triangle listings.
     """
-    return sep.join(sep.join([line] * len(chunk)) % tuple(chunk.ravel().tolist())
-                    for chunk in np.split(rows, range(_FORMAT_ROWS, len(rows), _FORMAT_ROWS)))
+    return sep.join(format_chunks(line, rows, sep))
 
 
 def write_certificate(c: Coloring) -> str:
@@ -227,13 +235,32 @@ def write_certificate(c: Coloring) -> str:
     else:
         raise CertificateError("only triangle and periodic stripe certificates are supported")
     a, b = c.region.point_arrays()
-    rows = format_rows("%d %d %d\n", np.stack([a, b, c.colors], axis=1))
+    rows = format_rows(_POINT_LINE, np.stack([a, b, c.colors], axis=1))
     return f"{MAGIC}\n{region_line}\ncolors {c.num_colors}\n" + rows
 
 
-def _point_lines(body: list[str]) -> list[str]:
+# the line boundaries of str.splitlines, "\r\n" first so it counts as one
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _split_header(text: str) -> tuple[list[str], str]:
+    """The first three non-blank, non-comment lines of a certificate, stripped,
+    and the text after them; lines end where `str.splitlines` ends them, but
+    only the header is split."""
+    header, pos = [], 0
+    ends = _LINE_END.finditer(text)
+    while len(header) < 3 and pos < len(text):
+        m = next(ends, None)
+        ln = text[pos:m.start() if m else len(text)].strip()
+        pos = m.end() if m else len(text)
+        if ln and not ln.startswith("#"):
+            header.append(ln)
+    return header, text[pos:]
+
+
+def _point_lines(body: str) -> list[str]:
     """The point lines of a certificate body, stripped, without blanks and comments."""
-    return [ln for ln in map(str.strip, body) if ln and not ln.startswith("#")]
+    return [ln for ln in map(str.strip, body.splitlines()) if ln and not ln.startswith("#")]
 
 
 # point values are clamped to this magnitude, so that a + b stays within int64;
@@ -260,14 +287,44 @@ def _point_rows(lines: list[str]) -> tuple[np.ndarray, Optional[str]]:
     return np.array(values, dtype=np.int64).reshape(-1, 3), malformed
 
 
+def _canonical_rows(body: str) -> Optional[np.ndarray]:
+    """The (a, b, color) rows of a body exactly as `write_certificate` writes
+    it, by one numpy parse checked by formatting the rows back; None for any
+    other body, and for values the per-line parser would clamp."""
+    with warnings.catch_warnings():
+        # numpy 1.x warns on text it cannot parse and returns a prefix
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            values = np.fromstring(body, dtype=np.int64, sep=" ")
+        except ValueError:  # numpy 2 raises instead
+            return None
+    if values.size % 3 or values.min(initial=0) < -_CLAMP or values.max(initial=0) > _CLAMP:
+        return None
+    rows = values.reshape(-1, 3)
+    end = 0
+    for chunk in format_chunks(_POINT_LINE, rows):
+        if not body.startswith(chunk, end):
+            return None
+        end += len(chunk)
+    return rows if end == len(body) else None
+
+
 def read_certificate(text: str) -> Coloring:
-    raw = text.splitlines()
-    header, pos = [], 0
-    while len(header) < 3 and pos < len(raw):
-        ln = raw[pos].strip()
-        pos += 1
-        if ln and not ln.startswith("#"):
-            header.append(ln)
+    """The coloring a certificate describes; CertificateError names its first fault.
+
+    A body (the text after the three header lines) exactly as
+    `write_certificate` writes it, one `%d %d %d\n` line per point and nothing
+    else, is read by one numpy parse, kept only if formatting the parsed rows
+    back gives the body byte for byte.  Then every line of the body is the
+    canonical decimal form of its row, which `str.split` and `int` read back
+    as that row, so the per-line parser would have read the same rows and no
+    malformed line: both paths give the same coloring or the same error.
+    Numpy's reading of the text does not matter, since only the round trip
+    decides.  Any other body (comments, blank lines, CRLF, `+5`, `1_0`, no
+    final newline, a value beyond int64 or past the +-2**61 clamp) goes to the
+    per-line parser, which alone defines what is accepted.
+    """
+    header, body = _split_header(text)
     if not header or header[0] != MAGIC:
         raise CertificateError("bad or missing header")
     if len(header) < 3:
@@ -298,8 +355,10 @@ def read_certificate(text: str) -> Coloring:
     if num_colors < 1:
         raise CertificateError("colors must be positive")
 
-    lines = _point_lines(raw[pos:])
-    rows, malformed = _point_rows(lines)
+    rows, lines, malformed = _canonical_rows(body), None, None
+    if rows is None:
+        lines = _point_lines(body)
+        rows, malformed = _point_rows(lines)
     a, b, col = rows.T
     if isinstance(region, PeriodicStripe):
         where = "fundamental domain"
@@ -318,11 +377,12 @@ def read_certificate(text: str) -> Coloring:
     # before a malformed line, so a bad line ahead of it comes first
     if bad.any():
         r = int(bad.argmax())
+        line = lines[r] if lines is not None else _POINT_LINE.rstrip() % tuple(rows[r].tolist())
         if not inside[r]:
-            raise CertificateError(f"point outside {where}: {lines[r]!r}")
+            raise CertificateError(f"point outside {where}: {line!r}")
         if duplicate[r]:
-            raise CertificateError(f"duplicate point: {lines[r]!r}")
-        raise CertificateError(f"color out of range: {lines[r]!r}")
+            raise CertificateError(f"duplicate point: {line!r}")
+        raise CertificateError(f"color out of range: {line!r}")
     if malformed is not None:
         raise CertificateError(f"bad point line: {malformed!r}")
     # every point is in the region and distinct, so a short count means a gap;

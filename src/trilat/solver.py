@@ -24,14 +24,14 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .coloring import Coloring, format_rows, is_proper, stripe_span_bound
+from .coloring import Coloring, format_chunks, is_proper, stripe_span_bound
 from .lattice import LatticePoint, PeriodicStripe, Region, StripeWindow, TriangleRegion
 from .triangles import triangle_ranks
 
@@ -333,9 +333,15 @@ class CnfInstance:
     def var(self, point_rank: int, color: int) -> int:
         return point_rank * self.K + color + 1
 
+    def dimacs_chunks(self) -> Iterator[str]:
+        """The DIMACS text in pieces: the header line, then each clause block
+        a chunk of rows at a time, so a writer never holds the whole text."""
+        yield f"p cnf {self.num_vars} {len(self.clauses)}\n"
+        for b in self.blocks:
+            yield from format_chunks("%d " * b.shape[1] + "0\n", b)
+
     def to_dimacs(self) -> str:
-        body = (format_rows("%d " * b.shape[1] + "0\n", b) for b in self.blocks)
-        return f"p cnf {self.num_vars} {len(self.clauses)}\n" + "".join(body)
+        return "".join(self.dimacs_chunks())
 
 
 def export_dimacs(region: Region, K: int) -> CnfInstance:
@@ -354,7 +360,7 @@ def export_dimacs(region: Region, K: int) -> CnfInstance:
     n = len(pts)
     colors = np.arange(1, K + 1)[:, None]
     blocks = (np.arange(1, n * K + 1).reshape(n, K),
-              *(-(rows[:, None, :] * K + colors).reshape(-1, rows.shape[1])
+              *((-K * rows[:, None, :] - colors).reshape(-1, rows.shape[1])
                 for rows in (ternary, binary)))
     return CnfInstance(n * K, blocks, pts, K, region)
 
@@ -395,8 +401,10 @@ def import_assignment(cnf: CnfInstance, assignment_text: str) -> Coloring:
     return coloring
 
 
-def run_sat_command(sat_cmd: str, dimacs_text: str, timeout: Optional[float] = None):
-    """Run an external SAT solver on a DIMACS instance.
+def run_sat_command(sat_cmd: str, dimacs: Union[str, Iterable[str]],
+                    timeout: Optional[float] = None):
+    """Run an external SAT solver on a DIMACS instance, given as its text or
+    as an iterable of text chunks that are written out one by one.
 
     Returns (status, model_text, stderr): status per the s-line, model_text
     the concatenated v-lines, stderr the solver's error output.  The command
@@ -405,7 +413,10 @@ def run_sat_command(sat_cmd: str, dimacs_text: str, timeout: Optional[float] = N
     to stderr.
     """
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
-        f.write(dimacs_text)
+        if isinstance(dimacs, str):
+            f.write(dimacs)
+        else:
+            f.writelines(dimacs)
         path = f.name
     try:
         proc = subprocess.run(shlex.split(sat_cmd) + [path],
@@ -434,14 +445,18 @@ def run_sat_command(sat_cmd: str, dimacs_text: str, timeout: Optional[float] = N
 def decide_k_colorable_external(region: Region, K: int, sat_cmd: str,
                                 timeout: Optional[float] = None) -> SolveOutcome:
     """K-colorability by an external SAT solver; `build_s` is the export and
-    its DIMACS text, `elapsed` the solver run."""
+    writing its DIMACS text, `elapsed` the solver run."""
     stats = SolveStats()
     start = time.monotonic()
     cnf = export_dimacs(region, K)
-    text = cnf.to_dimacs()
-    solver_start = time.monotonic()
-    status, model, stderr = run_sat_command(sat_cmd, text, timeout)
-    stats.build_s, stats.elapsed = solver_start - start, time.monotonic() - solver_start
+    written = []  # when the last chunk is out, i.e. when the solver starts
+
+    def chunks():
+        yield from cnf.dimacs_chunks()
+        written.append(time.monotonic())
+
+    status, model, stderr = run_sat_command(sat_cmd, chunks(), timeout)
+    stats.build_s, stats.elapsed = written[0] - start, time.monotonic() - written[0]
     if status == SAT:
         try:
             return SolveOutcome(SAT, import_assignment(cnf, model), stats)

@@ -192,6 +192,16 @@ def test_construct_banded_bad_block(capsys, tmp_path):
         assert err.startswith(message)
 
 
+def test_undecodable_certificate(capsys, tmp_path):
+    cert = tmp_path / "binary.cert"
+    cert.write_bytes(b"\xff")
+    for argv in (["verify", str(cert)], ["render", str(cert)],
+                 ["construct", "--scheme", "banded", "--n", "30", "--block", str(cert)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("malformed certificate: 'utf-8' codec can't decode")
+
+
 def test_verify_improper_exit_code(capsys, tmp_path):
     region = TriangleRegion(3)
     bad = Coloring(region, [0] * region.size(), 1)

@@ -1,8 +1,12 @@
 import itertools
 import random
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from trilat import coloring
 from trilat.coloring import (
     CertificateError,
     Coloring,
@@ -22,6 +26,8 @@ from trilat.lattice import (
     symmetries,
 )
 from trilat.triangles import enumerate_triangles
+
+CERT_DIR = Path(__file__).resolve().parent.parent / "certificates"
 
 
 def uniform(region, color=0, k=1):
@@ -169,6 +175,26 @@ def test_certificate_comments_ignored():
     assert read_certificate(commented).assignment == c.assignment
 
 
+# a trailing comment makes a body non-canonical, so it sends the text to the
+# per-line parser; the leading newline ends a last line that has no newline
+STRICT = "\n# strict\n"
+
+
+def read_both(text):
+    """What read_certificate makes of `text`, checked to be the same on the
+    numpy path and the per-line path: (region, num_colors, colors) or the
+    error message."""
+    results = []
+    for t in (text, text + STRICT):
+        try:
+            c = read_certificate(t)
+            results.append((c.region, c.num_colors, c.colors.tolist()))
+        except CertificateError as e:
+            results.append(str(e))
+    assert results[0] == results[1]
+    return results[0]
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda t: t.replace("trilat-coloring v1", "nope"), "header"),
     (lambda t: "\n".join(t.splitlines()[:-1]) + "\n", "partial"),
@@ -195,6 +221,10 @@ def test_certificate_comments_ignored():
     (lambda t: t.replace("region triangle 4", "region triangle 2305843009213693953"),
      "bad region line"),
     (lambda t: t.replace("colors 3", "colors 2305843009213693953"), "bad colors line"),
+    # as many values and characters as the canonical body, in other lines
+    (lambda t: t.replace("1 0 1\n", "1 0\n1\n"), "bad point line: '1 0'"),
+    # text numpy cannot even encode
+    (lambda t: t + "0 0 \ud800\n", "bad point line"),
 ])
 def test_certificate_errors(mutate, message):
     region = TriangleRegion(4)
@@ -202,6 +232,108 @@ def test_certificate_errors(mutate, message):
     text = write_certificate(c)
     with pytest.raises(CertificateError, match=message):
         read_certificate(mutate(text))
+    read_both(mutate(text))  # and the per-line parser gives the same message
+
+
+def random_colorings():
+    rng = random.Random(11)
+    regions = ([TriangleRegion(n) for n in range(1, 13)]
+               + [PeriodicStripe(k, p) for k in range(1, 5) for p in range(1, 5)])
+    for region in regions:
+        k = rng.randint(1, 5)
+        yield Coloring(region, [rng.randrange(k) for _ in range(region.size())], k)
+
+
+# the same body written in ways only the per-line parser accepts
+BODY_VARIANTS = [
+    lambda body: body.replace("\n", "\r\n"),
+    lambda body: body.replace("\n", "\r"),
+    lambda body: body.replace("\n", "  \n"),
+    lambda body: body.replace(" ", "\t"),
+    lambda body: "".join("+" + ln for ln in body.splitlines(keepends=True)),
+    lambda body: "".join("00" + ln for ln in body.splitlines(keepends=True)),
+    lambda body: body[:-1],
+    lambda body: body.replace("\n", "\n# a comment\n", 1),
+]
+
+
+def test_parse_paths_agree_on_valid_certificates():
+    texts = [cert.read_text() for cert in sorted(CERT_DIR.glob("*.cert"))]
+    assert len(texts) == 13
+    texts += [write_certificate(c) for c in random_colorings()]
+    for text in texts:
+        expected = read_both(text)
+        assert not isinstance(expected, str)
+        header = "".join(text.splitlines(keepends=True)[:3])
+        body = text[len(header):]
+        for variant in BODY_VARIANTS:
+            assert read_both(header + variant(body)) == expected
+        # no point lines at all
+        assert read_both(header) == "partial coloring"
+
+
+def test_parse_paths_agree_on_bad_rows():
+    """A random row of extreme values in place of one line of a valid
+    certificate: values past int64 go to the per-line parser on both reads,
+    the rest to numpy first; both quote the same line."""
+    rng = random.Random(12)
+    extremes = [-(1 << 63), (1 << 63) - 1, 1 << 63, -(1 << 61) - 1, 1 << 61, (1 << 61) + 1,
+                -1, 0, 1, 2, 10 ** 30]
+    for c in random_colorings():
+        lines = write_certificate(c).splitlines(keepends=True)
+        for _ in range(4):
+            r = rng.randrange(3, len(lines))
+            row = " ".join(str(rng.choice(extremes)) for _ in range(3))
+            mutated = lines[:r] + [row + "\n"] + lines[r + 1:]
+            read_both("".join(mutated))
+
+
+def test_canonical_body_skips_line_parser(monkeypatch):
+    texts = [write_certificate(Coloring(region, [(p.a + 2 * p.b) % 5 for p in points], 5))
+             for region, points in [(TriangleRegion(30), TriangleRegion(30).points()),
+                                    (PeriodicStripe(6, 7), PeriodicStripe(6, 7).fundamental_domain())]]
+    expected = [read_certificate(text) for text in texts]
+
+    def refuse(lines):
+        raise AssertionError("the per-line parser ran on a canonical body")
+
+    monkeypatch.setattr(coloring, "_point_rows", refuse)
+    for text, c in zip(texts, expected):
+        back = read_certificate(text)
+        assert (back.region, back.num_colors) == (c.region, c.num_colors)
+        assert (back.colors == c.colors).all()
+        # CRLF header lines in front of a canonical body
+        assert (read_certificate(text.replace("\n", "\r\n", 3)).colors == c.colors).all()
+    with pytest.raises(AssertionError, match="per-line parser"):
+        read_certificate(texts[0] + "# a comment\n")
+
+
+def test_parsed_prefix_is_not_a_body(monkeypatch):
+    """numpy 1.x warns and returns the values in front of text it cannot
+    parse; such a prefix must not pass for the whole body."""
+    real = np.fromstring
+
+    def prefix_only(text, dtype, sep):
+        if "#" in text:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return real(text.split("#")[0], dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(coloring.np, "fromstring", prefix_only)
+    text = write_certificate(Coloring(TriangleRegion(4), [p.b % 3 for p in TriangleRegion(4).points()], 3))
+    with pytest.raises(CertificateError, match="outside region: '9 9 0'"):
+        read_certificate(text + "# note\n9 9 0\n")
+    assert read_certificate(text + "# note\n").colors.tolist() == read_certificate(text).colors.tolist()
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_header_lines_end_as_splitlines(end):
+    region = TriangleRegion(5)
+    c = Coloring(region, [(p.a - p.b) % 3 for p in region.points()], 3)
+    text = write_certificate(c)
+    assert read_both(text.replace("\n", end)) == read_both(text)
+    # blank and comment lines before the header, ended the same way
+    assert read_both(f"{end}# note{end} {end}" + text.replace("\n", end, 3)) == read_both(text)
 
 
 def test_stripe_certificate_outside_domain():

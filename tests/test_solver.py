@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import shlex
 import sys
 from pathlib import Path
 
@@ -266,6 +267,19 @@ def test_run_sat_command_parses_statuses():
     cnf = export_dimacs(TriangleRegion(2), 1)
     status, _, _ = run_sat_command(SATSTUB, cnf.to_dimacs())
     assert status == UNSAT
+
+
+def test_run_sat_command_writes_chunks(tmp_path):
+    cnf = export_dimacs(PeriodicStripe(3, 2), 3)
+    text = cnf.to_dimacs()
+    assert "".join(cnf.dimacs_chunks()) == text
+    seen = tmp_path / "seen.cnf"
+    saver = tmp_path / "saver.py"  # a "solver" that keeps a copy of its input
+    saver.write_text(f"import shutil, sys\nshutil.copy(sys.argv[1], {str(seen)!r})\n")
+    for dimacs in (text, cnf.dimacs_chunks()):
+        seen.unlink(missing_ok=True)
+        assert run_sat_command(shlex.join([sys.executable, str(saver)]), dimacs)[0] == UNKNOWN
+        assert seen.read_text() == text
 
 
 def test_run_sat_command_missing_solver(tmp_path):
