@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,11 @@ EX_IMPROPER = 1
 EX_MALFORMED = 2
 EX_UNKNOWN = 3
 
+# the least value of each integer option; a node budget of 0 stops at once,
+# and banded_coloring rejects a negative `construct --d` itself
+LEAST = {"n": 1, "n_min": 1, "colors": 1, "width": 1, "stripe": 1, "period": 1,
+         "max_period": 1, "k": 1, "nodes": 0, "v": 3, "r": 0}
+
 PALETTE = [
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231", "#911eb4",
     "#46f0f0", "#f032e6", "#bcf60c", "#fabebe", "#008080", "#e6beff",
@@ -52,12 +58,13 @@ def _budget(args) -> solver.Budget:
                          max_seconds=getattr(args, "timeout", None))
 
 
-def _emit(text: str, output) -> None:
-    """Write text to the --output file, or to stdout when none is given."""
+def _emit(chunks: Iterable[str], output) -> None:
+    """Write text chunks to the --output file, or to stdout when none is given."""
     if output:
-        Path(output).write_text(text)
+        with open(output, "w") as f:
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cnf(args) -> solver.CnfInstance:
@@ -122,7 +129,7 @@ def cmd_solve(args) -> int:
     print(f"c nodes {st.nodes} elapsed {st.elapsed:.3f}s build {st.build_s:.3f}s depth {st.max_depth}")
     if out.status == solver.SAT:
         print("s SATISFIABLE")
-        _emit(write_certificate(out.coloring), args.output)
+        _emit([write_certificate(out.coloring)], args.output)
         return 0
     if out.status == solver.UNSAT:
         print("s UNSATISFIABLE")
@@ -174,7 +181,7 @@ def cmd_construct(args) -> int:
         except ValueError as e:  # a block of the wrong stripe, a negative spacer
             print(f"cannot build banded coloring: {e}", file=sys.stderr)
             return EX_MALFORMED
-    _emit(write_certificate(col), args.output)
+    _emit([write_certificate(col)], args.output)
     print(f"c colors used: {color_count(col)}", file=sys.stderr)
     return 0
 
@@ -192,7 +199,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dimacs(args) -> int:
-    _emit(_cnf(args).to_dimacs(), args.output)
+    _emit(_cnf(args).dimacs_chunks(), args.output)
     return 0
 
 
@@ -202,7 +209,7 @@ def cmd_import_solution(args) -> int:
     except (OSError, ValueError) as e:
         print(f"bad assignment: {e}", file=sys.stderr)
         return EX_MALFORMED
-    _emit(write_certificate(col), args.output)
+    _emit([write_certificate(col)], args.output)
     return 0
 
 
@@ -212,7 +219,7 @@ def cmd_stripe(args) -> int:
         out = solver.solve_periodic_stripe(args.k, p, args.colors, _budget(args))
         print(f"c k={args.k} period={p}: {out.status}")
         if out.status == solver.SAT:
-            _emit(write_certificate(out.coloring), args.output)
+            _emit([write_certificate(out.coloring)], args.output)
             return 0
         if out.status == solver.UNKNOWN:
             return EX_UNKNOWN
@@ -245,8 +252,9 @@ def cmd_triples(args) -> int:
     return 0
 
 
-def render_svg(col: Coloring, witness=None, scale: float = 24.0) -> str:
+def render_svg(col: Coloring, witness=None) -> str:
     """Deterministic SVG: one disc per point, fill keyed by color index."""
+    scale = 24.0  # pixels per lattice unit
     a, b = col.region.point_arrays()
     pts = list(map(LatticePoint, a.tolist(), b.tolist()))
     coords = {p: p.to_cartesian() for p in pts}
@@ -293,7 +301,7 @@ def cmd_render(args) -> int:
         ok, witness = is_proper(col)
         if ok:
             witness = None
-    _emit(render_svg(col, witness), args.output)
+    _emit([render_svg(col, witness)], args.output)
     return 0
 
 
@@ -405,10 +413,10 @@ def main(argv=None) -> int:
         return EX_USAGE if e.code not in (0, None) else 0
     # argument-range validation before dispatch
     try:
-        if getattr(args, "n", None) is not None and args.n < 1:
-            raise ValueError("n must be positive")
-        if getattr(args, "colors", None) is not None and args.colors < 1:
-            raise ValueError("colors must be positive")
+        for name, least in LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
         if getattr(args, "n_min", None) is None and hasattr(args, "n_min"):
             args.n_min = args.n
         if args.command in ("export-dimacs", "import-solution"):

@@ -23,7 +23,7 @@ each vertex is the +60 degree apex of the edge before it (z = x + rot(y - x),
 and so on cyclically), and ranks cannot fall along all three edges of a cycle,
 so some edge goes up in rank and its pair i < j meets the triangle.  The first
 hit in class order (first appearance in rank order), then row-major pair
-order, is the witness.  A plain triangle-scan checker is kept as the oracle.
+order, is the witness; the triangle-scan oracle is in tests/oracles.py.
 
 Periodic stripe colorings are scanned on a finite window: any equilateral
 triangle with vertices in the k-row stripe has bounded horizontal extent, so a
@@ -49,7 +49,7 @@ from .lattice import (
     StripeWindow,
     TriangleRegion,
 )
-from .triangles import EquilateralTriangle, enumerate_triangles
+from .triangles import EquilateralTriangle
 
 
 class CertificateError(ValueError):
@@ -178,27 +178,6 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
             p2 = LatticePoint(int(a[q]), int(b[q]))
             apex = LatticePoint(int(s[p] - b[q]), int(s[q] - a[p]))
             return (False, EquilateralTriangle.of(p1, p2, apex))
-    return (True, None)
-
-
-def is_proper_scan(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
-    """Oracle checker: enumerate every triangle and test it. Finite regions,
-    and periodic stripes via an explicit window scan."""
-    region = c.region
-    if isinstance(region, PeriodicStripe):
-        span = stripe_span_bound(region.k)
-        window = StripeWindow(region.k, 0, region.period - 1 + span)
-        tris = enumerate_triangles(window)
-
-        def color_of(p):
-            return c.assignment[region.reduce(p)]
-    else:
-        tris = enumerate_triangles(region)
-        color_of = c.assignment.__getitem__
-    for t in tris:
-        c1 = color_of(t.p1)
-        if c1 == color_of(t.p2) == color_of(t.p3):
-            return (False, t)
     return (True, None)
 
 

@@ -24,8 +24,6 @@ construction time, never assumed from the geometry.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .coloring import Coloring, is_proper
@@ -81,13 +79,6 @@ def stripe_partition_coloring(k: int, tri_coloring: Coloring) -> Coloring:
     return coloring
 
 
-def _band_palettes(n: int, d: int):
-    """Layout shared by banded_coloring and its color-count bound."""
-    m = n - 1
-    c0 = m - d // 2  # leftmost middle column (doubled coordinate); ties leftward
-    return m, c0
-
-
 def banded_coloring(n: int, base_block: Coloring, w: int = 6, d: int = 0,
                     verify: bool = True, left_phase: int = 0,
                     right_phase: int = 1) -> Coloring:
@@ -108,7 +99,8 @@ def banded_coloring(n: int, base_block: Coloring, w: int = 6, d: int = 0,
     if d < 0:
         raise ValueError("d must be nonnegative")
     kb = base_block.num_colors
-    m, c0 = _band_palettes(n, d)
+    m = n - 1  # doubled x-coordinate of the middle column
+    c0 = m - d // 2  # leftmost middle column (doubled coordinate); ties leftward
     a, b = TriangleRegion(n).point_arrays()
     x = 2 * a + b
     j = n - 1 - a - b  # right-arm line index
@@ -131,17 +123,16 @@ def banded_coloring(n: int, base_block: Coloring, w: int = 6, d: int = 0,
     return coloring
 
 
-def minimal_spacer(n: int, base_block: Coloring, w: int = 6,
-                   start: Optional[int] = None) -> int:
+def minimal_spacer(n: int, base_block: Coloring, w: int = 6) -> int:
     """Smallest d for which banded_coloring(n, base_block, w, d) is proper.
 
-    Ascending scan from 0; `start` (defaulting to 0) can skip known-bad small
-    values.  Finite: at d large enough every point is in a middle column.
+    Ascending scan from 0.  Finite: at d large enough every point is in a
+    middle column.
     """
     ok, witness = is_proper(base_block)
     if not ok:  # no spacer helps, and the scan below would never end
         raise ConstructionError("base block improper", witness)
-    d = 0 if start is None else start
+    d = 0
     while True:
         try:
             banded_coloring(n, base_block, w, d)

@@ -1,4 +1,5 @@
-"""Closed-form counts of triangles and pair classes in T_n, with brute oracles.
+"""Closed-form counts of triangles and pair classes in T_n, and the same counts
+from the generated triangle list; brute oracles are in tests/oracles.py.
 
 Notation (all counts are for the n-row triangle T_n):
   alpha(n)  equilateral triangles, any orientation
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import TriangleRegion
-from .triangles import apex_candidates, classify_pairs, count_upright, triangle_ranks
+from .triangles import classify_pairs, count_upright, triangle_ranks
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -67,18 +68,6 @@ def h_closed(k: int, n: int) -> int:
     return (n - k + 1) * (n - k + 2) // 2
 
 
-def h_brute(k: int, n: int) -> int:
-    if k > n:
-        return 0
-    count = 0
-    outer = TriangleRegion(n)
-    for b0 in range(n):
-        for a0 in range(n - b0):
-            if outer.contains((a0 + k - 1, b0)) and outer.contains((a0, b0 + k - 1)):
-                count += 1
-    return count
-
-
 def m_closed(k: int) -> int:
     """Rhombi minimally contained in T_k: 3(k-1)/2 for odd k, 0 for even k."""
     if k < 3:
@@ -86,50 +75,6 @@ def m_closed(k: int) -> int:
     if k % 2 == 0:
         return 0
     return _exact_div(3 * (k - 1), 2)
-
-
-def _rhombi(k: int) -> list[frozenset]:
-    """All 4-point rhombus vertex sets in T_k: a class-2 pair plus its two apexes."""
-    region = TriangleRegion(k)
-    pts = list(region.points())
-    out = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            u, v = apex_candidates(pts[i], pts[j])
-            if region.contains(u) and region.contains(v):
-                out.append(frozenset((pts[i], pts[j], u, v)))
-    return out
-
-
-def m_brute(k: int) -> int:
-    """Count rhombi in T_k touching all three sides (the minimal-containment criterion)."""
-    if k < 3:
-        raise ValueError("no rhombi fit")
-    count = 0
-    for rh in _rhombi(k):
-        bottom = any(p.b == 0 for p in rh)
-        left = any(p.a == 0 for p in rh)
-        right = any(p.a + p.b == k - 1 for p in rh)
-        if bottom and left and right:
-            count += 1
-    return count
-
-
-def m_by_inclusion_exclusion(k: int) -> int:
-    """m(k) from minimal containment as non-drawability in T_{k-1}.
-
-    Rhombi drawable in T_k but not T_{k-1} satisfy
-    m(k) = a2(k) - 3 a2(k-1) + 3 a2(k-2) - a2(k-3), by inclusion-exclusion over
-    the three corner copies of T_{k-1} inside T_k.
-    """
-    if k < 3:
-        raise ValueError("no rhombi fit")
-    return a2_closed(k) - 3 * a2_closed(k - 1) + 3 * a2_closed(k - 2) - a2_closed(k - 3)
-
-
-def a2_by_decomposition(n: int) -> int:
-    """a2(n) as the sum over k of h(k, n) * m(k)."""
-    return sum(h_closed(k, n) * m_closed(k) for k in range(3, n + 1))
 
 
 @dataclass

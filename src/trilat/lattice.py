@@ -42,16 +42,6 @@ def norm(p: LatticePoint | tuple[int, int]) -> int:
     return a * a + a * b + b * b
 
 
-def rotate60(p: LatticePoint | tuple[int, int], direction: int) -> LatticePoint:
-    """Rotate a lattice vector by 60 degrees; direction +1 counterclockwise, -1 clockwise."""
-    a, b = p
-    if direction == 1:
-        return LatticePoint(-b, a + b)
-    if direction == -1:
-        return LatticePoint(a + b, -a)
-    raise ValueError("direction must be +1 or -1")
-
-
 @dataclass(frozen=True)
 class TriangleRegion:
     """Upright n-row triangle T_n: points (a, b) with 0 <= b <= n-1, 0 <= a <= n-1-b."""
@@ -181,11 +171,3 @@ def symmetries(n: int) -> list[Callable[[LatticePoint], LatticePoint]]:
 
     return [identity, rot, rot2, refl, refl_rot, refl_rot2]
 
-
-def row_col_to_point(n: int, row: int, col: int) -> LatticePoint:
-    """Convert 1-indexed (row from top, position in row) to lattice coordinates."""
-    return LatticePoint(col - 1, n - row)
-
-
-def point_to_row_col(n: int, p: LatticePoint) -> tuple[int, int]:
-    return (n - p.b, p.a + 1)

@@ -19,6 +19,7 @@ handed to any SAT-competition-style solver via a subprocess command.
 
 from __future__ import annotations
 
+import random
 import shlex
 import subprocess
 import sys
@@ -27,7 +28,7 @@ import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -89,6 +90,29 @@ def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndar
     return list(region.fundamental_domain()), ternary, binary
 
 
+def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> tuple[list, list]:
+    """Per-variable constraint lists of n variables: (partners, row_ids).
+
+    partners[v] holds one (u, w) per constraint row on v: once two of v, u, w
+    share a color, the third must avoid it.  A ternary row (i, j, k) gives
+    (j, k), (i, k) and (i, j); a binary row (i, j) acts as (i, i, j), giving
+    (i, j) to i and (j, i) to j.  row_ids[v] holds each entry's row id, the
+    ternary rows numbered first and then the binary rows; every list is in
+    row order.
+    """
+    t = len(ternary)
+    # (v, u, w) once per variable of each row, rows in order
+    vuw = np.concatenate([ternary[:, [0, 1, 2, 1, 0, 2, 2, 0, 1]].reshape(-1, 3),
+                          binary[:, [0, 0, 1, 1, 1, 0]].reshape(-1, 3)])
+    row = np.repeat(np.arange(t + len(binary)), np.repeat([3, 2], [t, len(binary)]))
+    order = np.argsort(vuw[:, 0], kind="stable")
+    ends = np.cumsum(np.bincount(vuw[:, 0], minlength=n)).tolist()
+    pairs = list(zip(vuw[order, 1].tolist(), vuw[order, 2].tolist()))
+    ids = row[order].tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    return [pairs[s:e] for s, e in spans], [ids[s:e] for s, e in spans]
+
+
 def _fewest_colors(ds: list[int], candidates: int) -> int:
     """The candidates whose bit is set in the fewest of the masks `ds`.
 
@@ -139,16 +163,7 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
     order = np.argsort(-degree, kind="stable")  # search index -> rank
     index = np.empty(n, dtype=np.int64)         # rank -> search index
     index[order] = np.arange(n)
-    # tri_of[v]: one (u, w) per constraint on v; once two of v, u, w have a
-    # color the third must avoid it.  A binary row (i, j) acts as (i, i, j).
-    tri_of = [[] for _ in range(n)]
-    for (i, j, k) in index[ternary].tolist():
-        tri_of[i].append((j, k))
-        tri_of[j].append((i, k))
-        tri_of[k].append((i, j))
-    for (i, j) in index[binary].tolist():
-        tri_of[i].append((i, j))
-        tri_of[j].append((j, i))
+    partners = constraint_lists(n, index[ternary], index[binary])[0]
     bits = [1 << v for v in range(n)]
     dom = [(1 << K) - 1] * n
     color = [-1] * n
@@ -213,7 +228,7 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
             nodes += 1
             color[v] = c
             U ^= bits[v]
-            for (u, w) in tri_of[v]:
+            for (u, w) in partners[v]:
                 if color[u] == c:
                     x = w
                 elif color[w] == c:
@@ -401,10 +416,10 @@ def import_assignment(cnf: CnfInstance, assignment_text: str) -> Coloring:
     return coloring
 
 
-def run_sat_command(sat_cmd: str, dimacs: Union[str, Iterable[str]],
+def run_sat_command(sat_cmd: str, dimacs: Iterable[str],
                     timeout: Optional[float] = None):
-    """Run an external SAT solver on a DIMACS instance, given as its text or
-    as an iterable of text chunks that are written out one by one.
+    """Run an external SAT solver on a DIMACS instance, given as an iterable
+    of text chunks that are written out one by one.
 
     Returns (status, model_text, stderr): status per the s-line, model_text
     the concatenated v-lines, stderr the solver's error output.  The command
@@ -413,10 +428,7 @@ def run_sat_command(sat_cmd: str, dimacs: Union[str, Iterable[str]],
     to stderr.
     """
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
-        if isinstance(dimacs, str):
-            f.write(dimacs)
-        else:
-            f.writelines(dimacs)
+        f.writelines(dimacs)
         path = f.name
     try:
         proc = subprocess.run(shlex.split(sat_cmd) + [path],
@@ -476,29 +488,13 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
     Only ever returns checker-verified colorings, so a hit is a valid upper
     bound regardless of the heuristic nature of the search.
     """
-    import random
-
     rng = random.Random(seed)
     pts, ternary, binary = constraints(region)
-    # a binary row (i, j) acts as the group (i, j, j)
-    groups = [tuple(g) for g in ternary.tolist()] + [(i, j, j) for i, j in binary.tolist()]
     n = len(pts)
-    pair_of = [[] for _ in range(n)]   # (other1, other2) per containing group
-    groups_of = [[] for _ in range(n)]  # group ids per variable
-    for gi, (i, j, k) in enumerate(groups):
-        for v in {i, j, k}:
-            others = [x for x in (i, j, k) if x != v]
-            while len(others) < 2:
-                others.append(others[0])
-            pair_of[v].append(tuple(others))
-            groups_of[v].append(gi)
-
-    def violations(colors, v, c):
-        cnt = 0
-        for (u, w) in pair_of[v]:
-            if colors[u] == c and colors[w] == c:
-                cnt += 1
-        return cnt
+    partners, groups_of = constraint_lists(n, ternary, binary)
+    # each row's vertices by row id, for the monochromatic test and the draw
+    # of the vertex to move; a binary row (i, j) is (i, j, j) here
+    groups = np.concatenate([ternary, binary[:, [0, 1, 1]]]).tolist()
 
     for _ in range(max(1, restarts)):
         colors = [rng.randrange(K) for _ in range(n)]
@@ -509,9 +505,12 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
             steps += 1
             gi = rng.choice(tuple(bad))
             v = rng.choice(groups[gi])
-            scores = [(violations(colors, v, c), rng.random(), c) for c in range(K)]
-            scores.sort()
-            colors[v] = scores[0][2]
+            scores = []
+            for c in range(K):  # the rows on v that color c leaves monochromatic
+                colors[v] = c
+                hits = sum(1 for u, w in partners[v] if colors[u] == c and colors[w] == c)
+                scores.append((hits, rng.random(), c))
+            colors[v] = min(scores)[2]
             for g in groups_of[v]:
                 x, y, z = groups[g]
                 if colors[x] == colors[y] == colors[z]:

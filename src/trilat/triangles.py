@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticePoint, PeriodicStripe, Region, TriangleRegion, rotate60
+from .lattice import LatticePoint, PeriodicStripe, Region, TriangleRegion
 
 
 @dataclass(frozen=True, order=True)
@@ -36,14 +36,6 @@ class EquilateralTriangle:
 
     def vertices(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
         return (self.p1, self.p2, self.p3)
-
-
-def apex_candidates(p1: LatticePoint, p2: LatticePoint) -> tuple[LatticePoint, LatticePoint]:
-    """The two points completing {p1, p2} to an equilateral triangle."""
-    if p1 == p2:
-        raise ValueError("degenerate pair")
-    d = LatticePoint(p2[0] - p1[0], p2[1] - p1[1])
-    return (p1 + rotate60(d, +1), p1 + rotate60(d, -1))
 
 
 def _triangle_ranks(region: Region, upright_only: bool) -> np.ndarray:

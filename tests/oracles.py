@@ -1,0 +1,138 @@
+"""Brute-force oracles that the library is tested against.
+
+Each is the simplest correct method for what it computes; no trilat command
+runs any of them, so they live with the tests.
+
+- Pair walk: every pair of distinct points has exactly two apex completions
+  (the rotations of one endpoint about the other by +-60 degrees).  Visiting
+  all unordered pairs of region points and keeping the in-region apexes finds
+  each triangle three times, once per pair; it is the reference for the
+  direct triangle generator and the pair classification.
+- Triangle scan: test every triangle of the region for one color, the
+  reference for the pair-based properness checker.
+- Rhombus and sub-triangle counts, and two derivations of a2(n) from them,
+  the references for the closed forms.
+"""
+
+from trilat.coloring import stripe_span_bound
+from trilat.counting import a2_closed, h_closed, m_closed
+from trilat.lattice import LatticePoint, PeriodicStripe, StripeWindow, TriangleRegion
+from trilat.triangles import EquilateralTriangle, enumerate_triangles
+
+
+def rotate60(p, direction):
+    """Rotate a lattice vector by 60 degrees; direction +1 counterclockwise, -1 clockwise."""
+    a, b = p
+    if direction == 1:
+        return LatticePoint(-b, a + b)
+    if direction == -1:
+        return LatticePoint(a + b, -a)
+    raise ValueError("direction must be +1 or -1")
+
+
+def apex_candidates(p1, p2):
+    """The two points completing {p1, p2} to an equilateral triangle."""
+    if p1 == p2:
+        raise ValueError("degenerate pair")
+    d = LatticePoint(p2[0] - p1[0], p2[1] - p1[1])
+    return (p1 + rotate60(d, +1), p1 + rotate60(d, -1))
+
+
+def pair_walk_triangles(region):
+    """All equilateral triangles of a finite region, deduplicated and sorted."""
+    pts = list(region.points())
+    found = set()
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            for apex in apex_candidates(p, q):
+                if region.contains(apex):
+                    found.add(EquilateralTriangle.of(p, q, apex))
+    return sorted(found)
+
+
+def pair_walk_tallies(region):
+    """(a0, a1, a2): point pairs by their number of in-region apex completions."""
+    pts = list(region.points())
+    tally = [0, 0, 0]
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            tally[sum(1 for apex in apex_candidates(p, q) if region.contains(apex))] += 1
+    return tuple(tally)
+
+
+def is_proper_scan(c):
+    """Enumerate every triangle and test it. Finite regions, and periodic
+    stripes via an explicit window scan."""
+    region = c.region
+    if isinstance(region, PeriodicStripe):
+        span = stripe_span_bound(region.k)
+        window = StripeWindow(region.k, 0, region.period - 1 + span)
+        tris = enumerate_triangles(window)
+
+        def color_of(p):
+            return c.assignment[region.reduce(p)]
+    else:
+        tris = enumerate_triangles(region)
+        color_of = c.assignment.__getitem__
+    for t in tris:
+        c1 = color_of(t.p1)
+        if c1 == color_of(t.p2) == color_of(t.p3):
+            return (False, t)
+    return (True, None)
+
+
+def h_brute(k, n):
+    """Upright translated copies of T_k inside T_n, by trying every corner."""
+    if k > n:
+        return 0
+    count = 0
+    outer = TriangleRegion(n)
+    for b0 in range(n):
+        for a0 in range(n - b0):
+            if outer.contains((a0 + k - 1, b0)) and outer.contains((a0, b0 + k - 1)):
+                count += 1
+    return count
+
+
+def _rhombi(k):
+    """All 4-point rhombus vertex sets in T_k: a class-2 pair plus its two apexes."""
+    region = TriangleRegion(k)
+    pts = list(region.points())
+    out = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            u, v = apex_candidates(pts[i], pts[j])
+            if region.contains(u) and region.contains(v):
+                out.append(frozenset((pts[i], pts[j], u, v)))
+    return out
+
+
+def m_brute(k):
+    """Count rhombi in T_k touching all three sides (the minimal-containment criterion)."""
+    if k < 3:
+        raise ValueError("no rhombi fit")
+    count = 0
+    for rh in _rhombi(k):
+        bottom = any(p.b == 0 for p in rh)
+        left = any(p.a == 0 for p in rh)
+        right = any(p.a + p.b == k - 1 for p in rh)
+        if bottom and left and right:
+            count += 1
+    return count
+
+
+def m_by_inclusion_exclusion(k):
+    """m(k) from minimal containment as non-drawability in T_{k-1}.
+
+    Rhombi drawable in T_k but not T_{k-1} satisfy
+    m(k) = a2(k) - 3 a2(k-1) + 3 a2(k-2) - a2(k-3), by inclusion-exclusion over
+    the three corner copies of T_{k-1} inside T_k.
+    """
+    if k < 3:
+        raise ValueError("no rhombi fit")
+    return a2_closed(k) - 3 * a2_closed(k - 1) + 3 * a2_closed(k - 2) - a2_closed(k - 3)
+
+
+def a2_by_decomposition(n):
+    """a2(n) as the sum over k of h(k, n) * m(k)."""
+    return sum(h_closed(k, n) * m_closed(k) for k in range(3, n + 1))

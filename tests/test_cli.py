@@ -460,6 +460,24 @@ def test_usage_errors(capsys, argv):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "3", "--n-min", "-1", "--brute"),
+    ("count", "--n", "3", "--n-min", "-2"),
+    ("triples", "search", "--v", "2", "--r", "0"),
+    ("triples", "search", "--v", "7", "--r", "-1"),
+    ("construct", "--scheme", "banded", "--n", "10", "--width", "0"),
+    ("stripe", "--k", "0", "--colors", "3"),
+    ("stripe", "--k", "6", "--colors", "3", "--period", "-2"),
+    ("stripe", "--k", "6", "--colors", "3", "--max-period", "0"),
+    ("export-dimacs", "--stripe", "3", "--period", "-1", "--colors", "3"),
+    ("solve", "--n", "4", "--colors", "3", "--nodes", "-1"),
+])
+def test_out_of_range_arguments(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ")
+
+
 def test_render_deterministic(capsys, tmp_path):
     cert = tmp_path / "c.cert"
     cert.write_text(write_certificate(chevron_coloring(6)))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import is_proper_scan
 
 from trilat import coloring
 from trilat.coloring import (
@@ -12,7 +13,6 @@ from trilat.coloring import (
     Coloring,
     color_count,
     is_proper,
-    is_proper_scan,
     read_certificate,
     stripe_span_bound,
     write_certificate,

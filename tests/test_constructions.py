@@ -2,12 +2,12 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from oracles import is_proper_scan
 
 from trilat.coloring import (
     Coloring,
     color_count,
     is_proper,
-    is_proper_scan,
     read_certificate,
     write_certificate,
 )
@@ -119,7 +119,7 @@ def test_banded_improper_below_minimal_spacer(block6):
 
 def test_minimal_spacer_stable_across_sizes(block6):
     d60 = minimal_spacer(60, block6)
-    d120 = minimal_spacer(120, block6, start=d60)
+    d120 = minimal_spacer(120, block6)
     assert d60 == d120
 
 

@@ -1,3 +1,4 @@
+import oracles
 import pytest
 
 from trilat import counting as ct
@@ -27,22 +28,22 @@ def test_closed_forms_match_oracles(n):
 
 def test_m_examples():
     assert ct.m_closed(4) == 0
-    assert ct.m_brute(3) == 3 == ct.m_closed(3)
-    assert ct.m_closed(7) == 9 == ct.m_brute(7)
+    assert oracles.m_brute(3) == 3 == ct.m_closed(3)
+    assert ct.m_closed(7) == 9 == oracles.m_brute(7)
 
 
 def test_m_rejects_tiny():
     with pytest.raises(ValueError):
         ct.m_closed(2)
     with pytest.raises(ValueError):
-        ct.m_brute(1)
+        oracles.m_brute(1)
     with pytest.raises(ValueError):
-        ct.m_by_inclusion_exclusion(2)
+        oracles.m_by_inclusion_exclusion(2)
 
 
 @pytest.mark.parametrize("k", range(3, 15))
 def test_m_three_ways(k):
-    assert ct.m_brute(k) == ct.m_closed(k) == ct.m_by_inclusion_exclusion(k)
+    assert oracles.m_brute(k) == ct.m_closed(k) == oracles.m_by_inclusion_exclusion(k)
 
 
 def test_h_examples():
@@ -55,18 +56,18 @@ def test_h_examples():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_h_brute_agrees(n):
     for k in range(1, n + 2):
-        assert ct.h_brute(k, n) == ct.h_closed(k, n)
+        assert oracles.h_brute(k, n) == ct.h_closed(k, n)
 
 
 def test_decomposition_examples():
-    assert ct.a2_by_decomposition(2) == 0
-    assert ct.a2_by_decomposition(4) == 9
-    assert ct.a2_by_decomposition(5) == 24
+    assert oracles.a2_by_decomposition(2) == 0
+    assert oracles.a2_by_decomposition(4) == 9
+    assert oracles.a2_by_decomposition(5) == 24
 
 
 @pytest.mark.parametrize("n", range(1, 26))
 def test_decomposition_identity(n):
-    assert ct.a2_by_decomposition(n) == ct.a2_closed(n)
+    assert oracles.a2_by_decomposition(n) == ct.a2_closed(n)
 
 
 def test_identity_suite_closed_forms():

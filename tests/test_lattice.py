@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
+from oracles import rotate60
 
 from trilat.lattice import (
     LatticePoint,
@@ -7,9 +8,6 @@ from trilat.lattice import (
     StripeWindow,
     TriangleRegion,
     norm,
-    point_to_row_col,
-    row_col_to_point,
-    rotate60,
     symmetries,
 )
 
@@ -96,14 +94,6 @@ def test_periodic_stripe_reduce():
     assert not s.contains((0, 4))
     assert s.reduce((-1, 2)) == (4, 2)
     assert len(list(s.fundamental_domain())) == 20
-
-
-def test_row_col_roundtrip():
-    n = 6
-    for p in TriangleRegion(n).points():
-        assert row_col_to_point(n, *point_to_row_col(n, p)) == p
-    # row 1 is the top row: the single apex point
-    assert row_col_to_point(n, 1, 1) == (0, n - 1)
 
 
 def test_bad_regions():

@@ -265,7 +265,7 @@ def test_internal_and_external_agree(n, k):
 
 def test_run_sat_command_parses_statuses():
     cnf = export_dimacs(TriangleRegion(2), 1)
-    status, _, _ = run_sat_command(SATSTUB, cnf.to_dimacs())
+    status, _, _ = run_sat_command(SATSTUB, [cnf.to_dimacs()])
     assert status == UNSAT
 
 
@@ -276,14 +276,14 @@ def test_run_sat_command_writes_chunks(tmp_path):
     seen = tmp_path / "seen.cnf"
     saver = tmp_path / "saver.py"  # a "solver" that keeps a copy of its input
     saver.write_text(f"import shutil, sys\nshutil.copy(sys.argv[1], {str(seen)!r})\n")
-    for dimacs in (text, cnf.dimacs_chunks()):
+    for dimacs in ([text], cnf.dimacs_chunks()):
         seen.unlink(missing_ok=True)
         assert run_sat_command(shlex.join([sys.executable, str(saver)]), dimacs)[0] == UNKNOWN
         assert seen.read_text() == text
 
 
 def test_run_sat_command_missing_solver(tmp_path):
-    status, model, stderr = run_sat_command(str(tmp_path / "no-such-solver"), "p cnf 0 0\n")
+    status, model, stderr = run_sat_command(str(tmp_path / "no-such-solver"), ["p cnf 0 0\n"])
     assert (status, model) == (UNKNOWN, "")
     assert "cannot run solver" in stderr
 
@@ -291,7 +291,7 @@ def test_run_sat_command_missing_solver(tmp_path):
 def test_run_sat_command_timeout():
     sleeper = (f"{sys.executable} -c \"import sys, time; "
                f"print('still thinking', file=sys.stderr, flush=True); time.sleep(3)\"")
-    status, model, stderr = run_sat_command(sleeper, "p cnf 0 0\n", timeout=0.5)
+    status, model, stderr = run_sat_command(sleeper, ["p cnf 0 0\n"], timeout=0.5)
     assert (status, model) == (UNKNOWN, "")
     assert "timed out after 0.5s" in stderr
     assert "still thinking" in stderr
@@ -319,7 +319,7 @@ def test_s6_three_colors_unsat_small_periods():
 
 def test_periodic_dimacs_roundtrip():
     cnf = export_dimacs(PeriodicStripe(3, 2), 3)
-    status, model, _ = run_sat_command(SATSTUB, cnf.to_dimacs())
+    status, model, _ = run_sat_command(SATSTUB, [cnf.to_dimacs()])
     assert status == SAT
     col = import_assignment(cnf, model)
     assert is_proper(col)[0]
@@ -329,6 +329,24 @@ def test_local_search_finds_colorings():
     col = local_search_coloring(TriangleRegion(7), 3, seed=1)
     assert col is not None
     assert is_proper(col)[0]
+
+
+@pytest.mark.parametrize("region,k,max_steps,restarts,shas", [
+    (TriangleRegion(4), 3, 20000, 2,
+     ["c6e2c940fa0c81e5", "b3b8c030b0ba72d7", "471d345a47977a31", "51183ff91215dbc4"]),
+    (TriangleRegion(7), 3, 20000, 2,
+     ["f7c26f6661d4a60e", None, "07dc541b1ae9ab22", "613384bba46a5181"]),
+    (TriangleRegion(14), 5, 4000, 1, [None, None, None, "ab8ba52f690f2f65"]),
+    (PeriodicStripe(6, 4), 4, 8000, 2, ["282aa4757da51c57", None, "cb49d71cf4a0db6a", None]),
+    (PeriodicStripe(6, 5), 4, 8000, 2, [None, None, "5fa06c221c4af6a0", None]),
+])
+def test_local_search_pinned(region, k, max_steps, restarts, shas):
+    """The coloring (sha256 prefix of its colors) or None that local search
+    returns for seeds 0..3: any change to the constraint index, the move
+    choice or the use of the random stream moves these."""
+    for seed, sha in enumerate(shas):
+        col = local_search_coloring(region, k, seed=seed, max_steps=max_steps, restarts=restarts)
+        assert (col and hashlib.sha256(col.colors.tobytes()).hexdigest()[:16]) == sha
 
 
 def test_deterministic_given_node_budget():

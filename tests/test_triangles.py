@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
-from pairwalk import pair_walk_tallies, pair_walk_triangles
+from oracles import apex_candidates, pair_walk_tallies, pair_walk_triangles
 
 from trilat.coloring import stripe_span_bound
 from trilat.lattice import (
@@ -13,7 +13,6 @@ from trilat.lattice import (
 )
 from trilat.triangles import (
     EquilateralTriangle,
-    apex_candidates,
     classify_pairs,
     count_upright,
     enumerate_triangles,
