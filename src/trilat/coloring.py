@@ -74,17 +74,18 @@ class _Assignment(Mapping):
     Lookups take `LatticePoint`s or plain (a, b) tuples.
     """
 
-    def __init__(self, coloring: "Coloring"):
-        self._coloring = coloring
+    def __init__(self, region: Region, colors: np.ndarray):
+        # not the coloring itself, which caches this view: that would be a reference cycle
+        self._region = region
+        self._colors = colors
 
     def __len__(self):
-        return self._coloring.colors.size
+        return self._colors.size
 
     @cached_property
     def _dict(self) -> dict[LatticePoint, int]:
-        a, b = self._coloring.region.point_arrays()
-        return dict(zip(map(LatticePoint, a.tolist(), b.tolist()),
-                        self._coloring.colors.tolist()))
+        a, b = self._region.point_arrays()
+        return dict(zip(map(LatticePoint, a.tolist(), b.tolist()), self._colors.tolist()))
 
     def __getitem__(self, p):
         return self._dict[p]
@@ -111,7 +112,7 @@ class Coloring:
 
     @cached_property
     def assignment(self) -> Mapping[LatticePoint, int]:
-        return _Assignment(self)
+        return _Assignment(self.region, self.colors)
 
 
 def color_count(c: Coloring) -> int:

@@ -52,8 +52,9 @@ class TriangleRegion:
             raise ValueError("n must be positive")
 
     def contains(self, p) -> bool:
+        """Membership of a point, or elementwise of coordinate arrays (a, b)."""
         a, b = p
-        return 0 <= b <= self.n - 1 and 0 <= a <= self.n - 1 - b
+        return (0 <= a) & (0 <= b) & (a + b <= self.n - 1)
 
     def points(self) -> Iterator[LatticePoint]:
         for b in range(self.n):
@@ -86,8 +87,9 @@ class StripeWindow:
             raise ValueError("k must be positive")
 
     def contains(self, p) -> bool:
+        """Membership of a point, or elementwise of coordinate arrays (a, b)."""
         a, b = p
-        return 0 <= b <= self.k - 1 and self.x_min <= a <= self.x_max
+        return (0 <= b) & (b <= self.k - 1) & (self.x_min <= a) & (a <= self.x_max)
 
     def points(self) -> Iterator[LatticePoint]:
         for b in range(self.k):
@@ -118,8 +120,11 @@ class PeriodicStripe:
             raise ValueError("k and period must be positive")
 
     def contains(self, p) -> bool:
-        # Membership constrains b only; a wraps mod period.
-        return 0 <= p[1] <= self.k - 1
+        """Membership of a point, or elementwise of coordinate arrays (a, b).
+
+        Membership constrains b only; a wraps mod period.
+        """
+        return (0 <= p[1]) & (p[1] <= self.k - 1)
 
     def reduce(self, p) -> LatticePoint:
         return LatticePoint(p[0] % self.period, p[1])

@@ -3,19 +3,21 @@
 Every equilateral triangle is inscribed in exactly one upright sub-triangle
 with corner (x, y) and side L: its vertices are (x+i, y), (x+L-i, y+i) and
 (x, y+L-i) for one offset 0 <= i < L, and i = 0 is the upright triangle
-itself.  `triangle_ranks` generates them from this formula with numpy, as
-point ranks in the region's (b, a) point order, with no search and no
-deduplication.  In T_n the corners of side L are exactly the points of
-T_{n-L}; in a stripe window the corners run over the whole window and
-triangles leaving it are clipped.
+itself.  `_generate` yields them from this formula with numpy, unsorted,
+with no search and no deduplication.  In T_n the corners of side L are
+exactly the points of T_{n-L}; in a stripe window the corners run over the
+whole window and triangles leaving it are clipped.  `triangle_ranks` alone
+puts them in canonical order, as point ranks in the region's (b, a) order.
 
-Pair classes fall out of the triangle list: a point pair has two apex
-completions, so it lies in 0, 1 or 2 of the region's triangles.
+Pair classes come from the unsorted triangles by reflection: a point pair
+{p, q} has two apex completions, so it lies in 0, 1 or 2 of the region's
+triangles, and from a triangle {p, q, r} its other apex is p + q - r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -38,36 +40,36 @@ class EquilateralTriangle:
         return (self.p1, self.p2, self.p3)
 
 
-def _triangle_ranks(region: Region, upright_only: bool) -> np.ndarray:
+def _generate(region: Region, upright_only: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The triangles of a finite region, unsorted, one block per side L.
+
+    A block is two (3, m) arrays a, b of vertex coordinates: row v holds vertex
+    v of (x+i, y), (x+L-i, y+i), (x, y+L-i), and the columns run over the
+    corners (x, y) in rank order, then over the offsets i.
+    """
     if isinstance(region, PeriodicStripe):
         raise ValueError("use windowed enumeration for periodic stripes")
     a_pts, b_pts = region.point_arrays()
-    a_lo = int(a_pts.min(initial=0))
-    height = int(b_pts.max(initial=0)) + 1
-    rank = np.full((int(a_pts.max(initial=0)) - a_lo + 1, height), -1, dtype=np.int64)
-    rank[a_pts - a_lo, b_pts] = np.arange(a_pts.size)
     triangle = isinstance(region, TriangleRegion)
     # in a k-row window i and L - i are both vertex rises above the corner row, so L <= 2(k - 1)
     sides = range(1, region.n) if triangle else range(1, 2 * region.k - 1)
-    parts = [np.empty((0, 3), dtype=np.int64)]
+    level = a_pts + b_pts
     for L in sides:
         x, y = a_pts, b_pts
         if triangle:  # the corners of side L are the points of T_{n-L}; nothing to clip
-            corner = a_pts + b_pts <= region.n - 1 - L
+            corner = level <= region.n - 1 - L
             x, y = a_pts[corner], b_pts[corner]
         i = np.arange(1 if upright_only else L)
         x, y = x[:, None], y[:, None]
-        a = np.stack(np.broadcast_arrays(x + i, x + L - i, x), axis=-1).reshape(-1, 3)
-        b = np.stack(np.broadcast_arrays(y, y + i, y + L - i), axis=-1).reshape(-1, 3)
+        a = np.empty((3, x.size, i.size), dtype=np.int64)
+        b = np.empty((3, x.size, i.size), dtype=np.int64)
+        a[0], a[1], a[2] = x + i, x + L - i, x
+        b[0], b[1], b[2] = y, y + i, y + L - i
+        a, b = a.reshape(3, -1), b.reshape(3, -1)
         if not triangle:  # corners lie in the window, so only the upper bounds can fail
-            inside = ((a <= region.x_max) & (b <= region.k - 1)).all(axis=1)
-            a, b = a[inside], b[inside]
-        parts.append(rank[a - a_lo, b])
-    ranks = np.sort(np.concatenate(parts), axis=1)
-    # sorted() order of EquilateralTriangle: vertices compared as (a, b) tuples
-    key = (a_pts - a_lo) * height + b_pts
-    k = key[ranks]
-    return ranks[np.lexsort((k[:, 2], k[:, 1], k[:, 0]))]
+            inside = ((a <= region.x_max) & (b <= region.k - 1)).all(axis=0)
+            a, b = a[:, inside], b[:, inside]
+        yield a, b
 
 
 def triangle_ranks(region: Region) -> np.ndarray:
@@ -77,7 +79,13 @@ def triangle_ranks(region: Region) -> np.ndarray:
     is ascending (the canonical vertex order) and the rows follow the sorted
     order of the corresponding `EquilateralTriangle` objects.
     """
-    return _triangle_ranks(region, upright_only=False)
+    ranks = np.concatenate([np.empty((0, 3), dtype=np.int64)]
+                           + [region.rank(a, b).T for a, b in _generate(region, upright_only=False)])
+    ranks.sort(axis=1)
+    # sorted() order of EquilateralTriangle: vertices compared as (a, b) tuples
+    a_pts, b_pts = region.point_arrays()
+    k = (a_pts * (int(b_pts.max(initial=0)) + 1) + b_pts)[ranks]
+    return ranks[np.lexsort((k[:, 2], k[:, 1], k[:, 0]))]
 
 
 def enumerate_triangles(region: Region) -> list[EquilateralTriangle]:
@@ -88,29 +96,39 @@ def enumerate_triangles(region: Region) -> list[EquilateralTriangle]:
 
 
 def count_upright(region: Region) -> int:
-    """Triangles that are translates of a dilated {(0,0),(s,0),(0,s)}, s >= 1."""
-    return len(_triangle_ranks(region, upright_only=True))
+    """Triangles that are translates of a dilated {(0,0),(s,0),(0,s)}, s >= 1.
+
+    The length of the unsorted generation of upright triangles (offset i = 0).
+    """
+    return sum(a.shape[1] for a, _ in _generate(region, upright_only=True))
 
 
 @dataclass
 class PairClassification:
-    """The (a0, a1, a2) tallies: point pairs with 0, 1 or 2 in-region apex completions."""
+    """The (a0, a1, a2) tallies: point pairs with 0, 1 or 2 in-region apex completions,
+    and the number of triangles they were read from."""
     a0: int
     a1: int
     a2: int
+    triangles: int
 
     def tallies(self) -> tuple[int, int, int]:
         return (self.a0, self.a1, self.a2)
 
 
 def classify_pairs(region: Region) -> PairClassification:
-    """Sort all unordered point pairs by their number of in-region apex completions."""
-    ranks = triangle_ranks(region)
+    """Sort all unordered point pairs by their number of in-region apex completions.
+
+    One unsorted generation is walked once.  The second apex of the pair
+    opposite vertex r is r reflected across it, p + q - r = (p + q + r) - 2r.
+    If it is in the region the pair lies in two triangles and is met twice,
+    else in one triangle and met once; the pairs never met lie in none.
+    """
+    count = hits = 0
+    for a, b in _generate(region, upright_only=False):
+        count += a.shape[1]
+        hits += int(np.count_nonzero(region.contains((a[0] + a[1] + a[2] - 2 * a,
+                                                      b[0] + b[1] + b[2] - 2 * b))))
+    a1, a2 = 3 * count - hits, hits // 2
     size = region.size()
-    # every triangle holds three pairs; a pair's key is built from its point ranks
-    keys = np.concatenate([ranks[:, 0] * size + ranks[:, 1],
-                           ranks[:, 0] * size + ranks[:, 2],
-                           ranks[:, 1] * size + ranks[:, 2]])
-    per_pair = np.bincount(np.unique(keys, return_counts=True)[1], minlength=3)
-    a1, a2 = int(per_pair[1]), int(per_pair[2])
-    return PairClassification(size * (size - 1) // 2 - a1 - a2, a1, a2)
+    return PairClassification(size * (size - 1) // 2 - a1 - a2, a1, a2, count)

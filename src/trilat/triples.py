@@ -33,14 +33,22 @@ class TripleSystem:
     def __post_init__(self):
         if self.v >= 1 << 63:  # points are counted as int64
             raise ValueError(f"too many points: {self.v}")
-        seen = set()
-        for t in self.triples:
-            t = frozenset(t)
-            if len(t) != 3 or not all(1 <= x <= self.v for x in t):
-                raise ValueError(f"invalid triple {sorted(t)}")
-            if t in seen:
-                raise ValueError(f"duplicate triple {sorted(t)}")
-            seen.add(t)
+        triples = list(map(frozenset, self.triples))
+        sizes = np.fromiter(map(len, triples), dtype=np.int64, count=len(triples))
+        # object entries compare as Python ints, so no value can overflow
+        points = np.fromiter(chain.from_iterable(triples), dtype=object, count=int(sizes.sum()))
+        bad = sizes != 3
+        bad[np.repeat(np.arange(len(triples)), sizes)[(points < 1) | (points > self.v)]] = True
+        first_bad = int(np.argmax(bad)) if bad.any() else len(triples)
+        head = triples[:first_bad]  # the first fault in list order is reported
+        if len(set(head)) < len(head):
+            seen = set()
+            for t in head:
+                if t in seen:
+                    raise ValueError(f"duplicate triple {sorted(t)}")
+                seen.add(t)
+        if first_bad < len(triples):
+            raise ValueError(f"invalid triple {sorted(triples[first_bad])}")
 
 
 @dataclass
@@ -84,7 +92,7 @@ def is_modified_sts(ts: TripleSystem) -> Optional[int]:
 def triangle_system(n: int) -> TripleSystem:
     """The equilateral triangles of T_n as triples on its points (1-indexed canonically)."""
     pts, ternary, _ = constraints(TriangleRegion(n))
-    return TripleSystem(len(pts), [frozenset(t) for t in (ternary + 1).tolist()])
+    return TripleSystem(len(pts), list(map(frozenset, (ternary + 1).tolist())))
 
 
 def fano_plane() -> TripleSystem:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 import warnings
 from pathlib import Path
 
@@ -351,6 +353,19 @@ def test_assignment_view():
     assert c.assignment is c.assignment
     with pytest.raises(ValueError):
         c.colors[0] = 1  # the array is read-only, so the view cannot go stale
+
+
+def test_assignment_view_is_not_a_reference_cycle():
+    # without a cycle, dropping the last reference frees the coloring at once
+    c = Coloring(TriangleRegion(50), np.arange(1275) % 7, 7)
+    assert len(c.assignment) == 1275 and c.assignment[(0, 0)] == 0
+    ref = weakref.ref(c)
+    gc.disable()
+    try:
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_partial_coloring_rejected():

@@ -1,9 +1,9 @@
 import oracles
 import pytest
 
-from trilat import counting as ct
+from trilat import counting as ct, triangles
 from trilat.lattice import TriangleRegion
-from trilat.triangles import classify_pairs, count_upright, enumerate_triangles
+from trilat.triangles import classify_pairs, count_upright, triangle_ranks
 
 
 def test_small_closed_values():
@@ -17,13 +17,14 @@ def test_small_closed_values():
     assert (ct.a2_closed(5), ct.a1_closed(5)) == (24, 57)
 
 
-@pytest.mark.parametrize("n", range(1, 41))
+@pytest.mark.parametrize("n", range(1, 61))
 def test_closed_forms_match_oracles(n):
     region = TriangleRegion(n)
-    assert ct.alpha_closed(n) == len(enumerate_triangles(region))
+    assert ct.alpha_closed(n) == len(triangle_ranks(region))
     assert ct.beta_closed(n) == count_upright(region)
     cls = classify_pairs(region)
     assert cls.tallies() == (ct.a0_closed(n), ct.a1_closed(n), ct.a2_closed(n))
+    assert cls.triangles == ct.alpha_closed(n)
 
 
 def test_m_examples():
@@ -72,7 +73,11 @@ def test_decomposition_identity(n):
 
 def test_identity_suite_closed_forms():
     for n in range(1, 1001):
-        ct.report_closed(n).check_identities()
+        r = ct.report_closed(n)
+        assert r.gamma == 3 * r.alpha
+        assert r.a0 + r.a1 + r.a2 == r.gamma
+        assert r.a1 + 2 * r.a2 == 3 * r.alpha
+        assert r.a0 == r.a2
 
 
 def test_report_brute_matches_closed():
@@ -82,6 +87,20 @@ def test_report_brute_matches_closed():
         rb.pop("source")
         rc.pop("source")
         assert rb == rc
+
+
+def test_report_brute_generates_once(monkeypatch):
+    calls = []
+    generate = triangles._generate
+
+    def counted(region, upright_only):
+        calls.append(upright_only)
+        return generate(region, upright_only)
+
+    monkeypatch.setattr(triangles, "_generate", counted)
+    report = ct.report_brute(12)
+    assert sorted(calls) == [False, True]  # every triangle once, the upright ones once
+    assert report.alpha == ct.alpha_closed(12) and report.beta == ct.beta_closed(12)
 
 
 def test_exact_division_guard():

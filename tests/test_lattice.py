@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from oracles import rotate60
@@ -20,6 +21,16 @@ def test_contains_examples():
     assert t4.contains((0, 0))
     assert not t4.contains((1, 3))
     assert t4.contains((1, 2))
+
+
+@pytest.mark.parametrize("region", [TriangleRegion(1), TriangleRegion(5), StripeWindow(3, -4, 2),
+                                    StripeWindow(1, -2, -1), PeriodicStripe(3, 4)], ids=repr)
+def test_contains_arrays_match_points(region):
+    a, b = (np.indices((17, 11)) - np.array([8, 3])[:, None, None]).reshape(2, -1)
+    inside = region.contains((a, b))
+    assert inside.shape == a.shape
+    assert inside.tolist() == [region.contains(p) for p in zip(a.tolist(), b.tolist())]
+    assert inside.any() and not inside.all()
 
 
 def test_rotate60_examples():

@@ -16,6 +16,7 @@ from trilat.triangles import (
     classify_pairs,
     count_upright,
     enumerate_triangles,
+    triangle_ranks,
 )
 
 # T1..T15, and every window the periodic-stripe constraints read for k <= 7, p <= 12
@@ -66,7 +67,9 @@ def test_enumerate_counts(n, count):
 @pytest.mark.parametrize("region", ORACLE_REGIONS, ids=repr)
 def test_generator_matches_pair_walk(region):
     assert enumerate_triangles(region) == pair_walk_triangles(region)  # order included
-    assert classify_pairs(region).tallies() == pair_walk_tallies(region)
+    cls = classify_pairs(region)
+    assert cls.tallies() == pair_walk_tallies(region)
+    assert cls.triangles == len(triangle_ranks(region))
 
 
 def test_enumerate_rejects_periodic():

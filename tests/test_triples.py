@@ -82,6 +82,20 @@ def test_triple_validation():
         TripleSystem(1 << 63, [frozenset((1, 2, 3))])
 
 
+@pytest.mark.parametrize("v,triples,message", [
+    (4, [(1, 2, 3), (3, 2, 1), (1, 2, 5)], r"duplicate triple \[1, 2, 3\]"),  # invalid after a duplicate
+    (4, [(1, 2, 3), (1, 2, 5), (1, 2, 3)], r"invalid triple \[1, 2, 5\]"),  # duplicate after an invalid
+    (4, [(1, 2, 3), (2, 3)], r"invalid triple \[2, 3\]"),
+    (4, [(1, 2, 3), (1, 2, 3, 4)], r"invalid triple \[1, 2, 3, 4\]"),
+    (4, [(1, 2, 3), (0, 1, 2)], r"invalid triple \[0, 1, 2\]"),
+    (4, [(1, 2, -(1 << 70)), (1, 2, 3), (1, 2, 3)], r"invalid triple \[-1180591620717411303424, 1, 2\]"),
+    ((1 << 63) - 1, [(1, 2, (1 << 63) - 1), (1, 2, 1 << 63)], r"invalid triple \[1, 2, 9223372036854775808\]"),
+])
+def test_triple_validation_reports_first_fault(v, triples, message):
+    with pytest.raises(ValueError, match=message):
+        TripleSystem(v, [frozenset(t) for t in triples])
+
+
 def test_divisibility_precondition():
     # C(5,2) = 10 is not divisible by 3: no system exists for any r
     assert search_modified_sts(5, 0) == "UNSAT"
