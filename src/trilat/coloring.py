@@ -8,14 +8,21 @@ color.
 
 The checker scans the ordered pairs (p, q) of each color class and looks up
 the apex p + rot(q - p) of each, where rot(a, b) = (-b, a + b) turns a vector
-by +60 degrees.  Every region kind is unrolled into one padded color grid: the
-points of T_n or of a stripe window carry their colors and every other cell
-holds -1, while a periodic stripe is tiled across the grid.  The padding is as
-wide as the scanned points' spread in b and in a + b, which bounds how far an
-apex can stray, so every apex lookup is one unmasked flat index.  The flat
-index is affine in the point, so with U[p] = flat(p - rot p) and
-V[q] = flat(rot q) - flat(0) the apex of (p, q) sits at U[p] + V[q]: one add,
-one gather and one compare per pair.
+by +60 degrees.  Every region kind is unrolled into one clipped color grid:
+the scanned points' rows b_min..b_max plus one border row on each side, and
+the columns a_min - (b_max - b_min)..a_max.  The points of T_n or of a stripe
+window carry their colors, a periodic stripe is tiled across its rows, and
+every other cell holds the sentinel num_colors, which no point has; the grid's
+dtype is `np.min_scalar_type(num_colors)`, one byte per cell up to 255 colors.
+In rank order b_q >= b_p, so the apex (a_p - (b_q - b_p), b_p + (a_q - a_p) +
+(b_q - b_p)) always has its column inside the grid.  Its row can stray
+anywhere, but a row below the lower border row gives a flat index below 0 and
+one above the upper border row gives one past the end, so a clipped lookup
+(`take(mode="clip")`) lands on a sentinel cell of a border row; every other
+row is a real row of the grid.  The flat index is affine in the point, so
+with U[p] = flat(p - rot p) and V[q] = flat(rot q) - flat(0) the apex of
+(p, q) sits at U[p] + V[q]: one add, one clipped gather and one compare per
+pair.
 
 One rotation over the pairs i < j (in rank order) of a class finds every
 monochromatic triangle.  Going round a triangle counter-clockwise, x -> y -> z,
@@ -124,14 +131,15 @@ _BLOCK = 1 << 16
 
 
 def _first_hit(grid: np.ndarray, u: np.ndarray, v: np.ndarray, color) -> Optional[tuple[int, int]]:
-    """First pair i < j of a class, row-major, whose apex cell grid[u[i] + v[j]] has `color`."""
+    """First pair i < j of a class, row-major, whose apex cell grid[u[i] + v[j]]
+    (clipped to the grid) has `color`."""
     s = len(u)
     rows = max(1, _BLOCK // s)
     upper = np.tri(min(rows, s - 1), dtype=bool).T  # [t, c]: c >= t
     for i0 in range(0, s - 1, rows):
         h = min(rows, s - 1 - i0)
         # row t is i = i0 + t and column c is j = i0 + 1 + c, so c < t means j <= i
-        hit = grid.take(u[i0:i0 + h, None] + v[None, i0 + 1:]) == color
+        hit = grid.take(u[i0:i0 + h, None] + v[None, i0 + 1:], mode="clip") == color
         hit[:, :h] &= upper[:h, :h]
         if hit.any():
             t, col = divmod(int(hit.argmax()), hit.shape[1])
@@ -140,7 +148,16 @@ def _first_hit(grid: np.ndarray, u: np.ndarray, v: np.ndarray, color) -> Optiona
 
 
 def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
-    """Pair-based properness check; returns (verdict, witness-or-None)."""
+    """Pair-based properness check; returns (verdict, witness-or-None).
+
+    The color grid is clipped (module docstring): rows b_min - 1..b_max + 1
+    of the scanned points, columns a_min - (b_max - b_min)..a_max, one cell of
+    dtype `np.min_scalar_type(num_colors)` each, with num_colors marking the
+    cells no point colors.  A rank-ordered pair has b_q >= b_p, so its apex
+    column a_p - (b_q - b_p) is always a grid column, and an apex row past
+    either border row clips onto a sentinel cell of that border row.  Beside
+    the grid, the scan holds a few arrays of one entry per scanned point.
+    """
     region = c.region
     periodic = isinstance(region, PeriodicStripe)
     scanned = (StripeWindow(region.k, 0, region.period - 1 + stripe_span_bound(region.k))
@@ -148,36 +165,40 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
     a, b = scanned.point_arrays()
     if a.size < 3:
         return (True, None)
-    colors = c.colors[region.rank(a, b)]
-    # an apex p + rot(q - p) = (a_p - db, b_p + d(a + b)) moves at most the points'
-    # spread in b along a, and their spread in a + b along b
-    s = a + b
-    pad_a, pad_b = int(b.max() - b.min()), int(s.max() - s.min())
-    a0, b0 = int(a.min()) - pad_a, int(b.min()) - pad_b
-    width = int(a.max()) + pad_a - a0 + 1
-    height = int(b.max()) + pad_b - b0 + 1
-    # the cells that carry colors: the region's points, or all stripe rows when tiled
-    paint = StripeWindow(region.k, a0, a0 + width - 1) if periodic else region
-    pa, pb = paint.point_arrays()
-    grid = np.full(height * width, -1, dtype=np.min_scalar_type(-c.num_colors))
-    grid[(pb - b0) * width + pa - a0] = c.colors[region.rank(pa, pb)]
-    u = (-a - b0) * width + s - a0  # flat(p - rot p), p - rot p = (a + b, -a)
-    v = s * width - b  # flat(rot q) - flat(0), rot q = (-b, a + b)
+    b_min, b_max = int(b[0]), int(b[-1])  # rank order is (b, a)
+    r0, c0 = b_min - 1, int(a.min()) - (b_max - b_min)
+    height, width = b_max - b_min + 3, int(a.max()) - c0 + 1
+    grid = np.full(height * width, c.num_colors, dtype=np.min_scalar_type(c.num_colors))
+    cell = (b - r0) * width
+    cell += a - c0
+    if periodic:  # every stripe row, tiled across the grid's columns
+        tiles = np.arange(c0, c0 + width) % region.period
+        grid.reshape(height, width)[1:-1] = c.colors.reshape(region.k, region.period)[:, tiles]
+    else:
+        grid[cell] = c.colors
+    colors = grid[cell]
+    del cell
+    u = (a + r0) * -width  # flat(p - rot p), p - rot p = (a + b, -a)
+    u += a + b - c0
+    v = (a + b) * width  # flat(rot q) - flat(0), rot q = (-b, a + b)
+    v -= b
 
-    values, first, inverse, counts = np.unique(colors, return_index=True,
-                                               return_inverse=True, return_counts=True)
-    members = np.argsort(inverse, kind="stable")  # by class, rank order within each
-    starts = np.cumsum(counts) - counts
-    for cls in np.argsort(first):
-        if counts[cls] < 3:
+    members = np.argsort(colors, kind="stable")  # by class, rank order within each
+    ordered = colors[members]
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    del ordered
+    ends = np.append(starts, a.size)
+    starts = np.insert(starts, 0, 0)
+    for cls in np.argsort(members[starts]):  # classes by first appearance
+        if ends[cls] - starts[cls] < 3:
             continue
-        m = members[starts[cls]:starts[cls] + counts[cls]]
-        found = _first_hit(grid, u[m], v[m], int(values[cls]))
+        m = members[starts[cls]:ends[cls]]
+        found = _first_hit(grid, u[m], v[m], colors[m[0]])
         if found is not None:
             p, q = m[found[0]], m[found[1]]
             p1 = LatticePoint(int(a[p]), int(b[p]))
             p2 = LatticePoint(int(a[q]), int(b[q]))
-            apex = LatticePoint(int(s[p] - b[q]), int(s[q] - a[p]))
+            apex = LatticePoint(p1.a + p1.b - p2.b, p2.a + p2.b - p1.a)
             return (False, EquilateralTriangle.of(p1, p2, apex))
     return (True, None)
 
@@ -215,8 +236,11 @@ def write_certificate(c: Coloring) -> str:
     else:
         raise CertificateError("only triangle and periodic stripe certificates are supported")
     a, b = c.region.point_arrays()
-    rows = format_rows(_POINT_LINE, np.stack([a, b, c.colors], axis=1))
-    return f"{MAGIC}\n{region_line}\ncolors {c.num_colors}\n" + rows
+    # one chunk of rows is stacked at a time, and the text is joined once
+    chunks = [format_rows(_POINT_LINE, np.stack([a[i:i + _FORMAT_ROWS], b[i:i + _FORMAT_ROWS],
+                                                 c.colors[i:i + _FORMAT_ROWS]], axis=1))
+              for i in range(0, a.size, _FORMAT_ROWS)]
+    return "".join([f"{MAGIC}\n{region_line}\ncolors {c.num_colors}\n", *chunks])
 
 
 # the line boundaries of str.splitlines, "\r\n" first so it counts as one

@@ -101,21 +101,36 @@ def banded_coloring(n: int, base_block: Coloring, w: int = 6, d: int = 0,
     kb = base_block.num_colors
     m = n - 1  # doubled x-coordinate of the middle column
     c0 = m - d // 2  # leftmost middle column (doubled coordinate); ties leftward
+    # each temporary is dropped once used, so a few arrays of one entry per point
+    # are alive at a time
     a, b = TriangleRegion(n).point_arrays()
     x = 2 * a + b
     j = n - 1 - a - b  # right-arm line index
     left = (x < m) | ((x == m) & (a <= j))
     band, line = np.divmod(np.where(left, a, j), w)
+    del j
     # each band maps onto the stripe rows by a lattice isometry: on the left arm
     # (a, b) -> (a + b, w - 1 - line) takes the constant-a lines to rows, on the
     # mirrored right arm (a, b) -> (-b, w - 1 - line) does so for constant a + b;
     # the stripe's rank reduces the first coordinate modulo its period
     stripe_a = np.where(left, a + b + left_phase, -b + right_phase)
-    sub = base_block.colors[base_block.region.rank(stripe_a, w - 1 - line)]
-    middle = (x >= c0) & (x < c0 + d)  # d singleton columns, colored 0..d-1
-    colors = np.where(middle, x - c0, d + band * kb + sub)
-    used, colors = np.unique(colors, return_inverse=True)
-    coloring = Coloring(TriangleRegion(n), colors, len(used))
+    del a, b, left
+    line = w - 1 - line
+    sub = base_block.colors[base_block.region.rank(stripe_a, line)]
+    del stripe_a, line
+    band *= kb
+    band += d
+    band += sub  # d + band * kb + sub
+    del sub
+    x -= c0
+    colors = np.where((x >= 0) & (x < d), x, band)  # d singleton columns, colored 0..d-1
+    del x, band
+    # renumber the colors used as 0, 1, ... in increasing order
+    present = np.zeros(int(colors.max()) + 1, dtype=bool)
+    present[colors] = True
+    renumber = np.cumsum(present) - 1
+    colors = renumber[colors]
+    coloring = Coloring(TriangleRegion(n), colors, int(renumber[-1]) + 1)
     if verify:
         ok, witness = is_proper(coloring)
         if not ok:

@@ -65,10 +65,13 @@ class TriangleRegion:
         return self.n * (self.n + 1) // 2
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates a, b of `points()`, indexed by rank."""
-        b, a = np.indices((self.n, self.n)).reshape(2, -1)
-        inside = a + b <= self.n - 1
-        return a[inside], b[inside]
+        """Coordinates a, b of `points()`, indexed by rank: row b holds n - b
+        points, and a counts up from 0 along each row."""
+        lengths = np.arange(self.n, 0, -1)
+        b = np.repeat(np.arange(self.n), lengths)
+        a = np.arange(b.size)
+        a -= np.repeat(np.cumsum(lengths) - lengths, lengths)  # each point's row start
+        return a, b
 
     def rank(self, a, b):
         """Rank of the points (a, b) of the region: row b starts after b rows of n, n-1, ..."""
@@ -125,9 +128,6 @@ class PeriodicStripe:
         Membership constrains b only; a wraps mod period.
         """
         return (0 <= p[1]) & (p[1] <= self.k - 1)
-
-    def reduce(self, p) -> LatticePoint:
-        return LatticePoint(p[0] % self.period, p[1])
 
     def fundamental_domain(self) -> Iterator[LatticePoint]:
         for b in range(self.k):

@@ -27,6 +27,7 @@ import tempfile
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -90,7 +91,31 @@ def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndar
     return list(region.fundamental_domain()), ternary, binary
 
 
-def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> tuple[list, list]:
+class _RowIds(Sequence):
+    """row_ids of `constraint_lists`, built on first read from the entries'
+    places in the (v, u, w) entry list, so a caller that never reads them
+    builds no row-id lists."""
+
+    def __init__(self, entries: np.ndarray, ends: list[int], ternary_rows: int):
+        self._entries = entries  # entry numbers, by variable
+        self._ends = ends
+        self._t = ternary_rows
+
+    @cached_property
+    def _lists(self) -> list[list[int]]:
+        entry, t = self._entries, self._t
+        # a ternary row has three entries, then each binary row has two
+        ids = np.where(entry < 3 * t, entry // 3, t + (entry - 3 * t) // 2).tolist()
+        return [ids[s:e] for s, e in zip([0] + self._ends[:-1], self._ends)]
+
+    def __len__(self):
+        return len(self._ends)
+
+    def __getitem__(self, v: int) -> list[int]:
+        return self._lists[v]
+
+
+def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> tuple[list, Sequence]:
     """Per-variable constraint lists of n variables: (partners, row_ids).
 
     partners[v] holds one (u, w) per constraint row on v: once two of v, u, w
@@ -98,19 +123,17 @@ def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> tuple[l
     (j, k), (i, k) and (i, j); a binary row (i, j) acts as (i, i, j), giving
     (i, j) to i and (j, i) to j.  row_ids[v] holds each entry's row id, the
     ternary rows numbered first and then the binary rows; every list is in
-    row order.
+    row order.  The row ids are a read-only view, built when first read.
     """
-    t = len(ternary)
     # (v, u, w) once per variable of each row, rows in order
     vuw = np.concatenate([ternary[:, [0, 1, 2, 1, 0, 2, 2, 0, 1]].reshape(-1, 3),
                           binary[:, [0, 0, 1, 1, 1, 0]].reshape(-1, 3)])
-    row = np.repeat(np.arange(t + len(binary)), np.repeat([3, 2], [t, len(binary)]))
     order = np.argsort(vuw[:, 0], kind="stable")
     ends = np.cumsum(np.bincount(vuw[:, 0], minlength=n)).tolist()
     pairs = list(zip(vuw[order, 1].tolist(), vuw[order, 2].tolist()))
-    ids = row[order].tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    return [pairs[s:e] for s, e in spans], [ids[s:e] for s, e in spans]
+    del vuw
+    partners = [pairs[s:e] for s, e in zip([0] + ends[:-1], ends)]
+    return partners, _RowIds(order, ends, len(ternary))
 
 
 def _fewest_colors(ds: list[int], candidates: int) -> int:

@@ -95,17 +95,6 @@ def triangle_system(n: int) -> TripleSystem:
     return TripleSystem(len(pts), list(map(frozenset, (ternary + 1).tolist())))
 
 
-def fano_plane() -> TripleSystem:
-    """The 7-point Steiner triple system: lines x + y = z in GF(2)^3 minus origin."""
-    triples = []
-    for x in range(1, 8):
-        for y in range(x + 1, 8):
-            z = x ^ y
-            if z > y:
-                triples.append(frozenset((x, y, z)))
-    return TripleSystem(7, triples)
-
-
 def search_modified_sts(v: int, r: int, max_nodes: int = 5_000_000):
     """Exhaustive backtracking for a modified triple system on v points.
 

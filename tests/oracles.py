@@ -9,15 +9,21 @@ runs any of them, so they live with the tests.
   each triangle three times, once per pair; it is the reference for the
   direct triangle generator and the pair classification.
 - Triangle scan: test every triangle of the region for one color, the
-  reference for the pair-based properness checker.
+  reference for the pair-based properness checker's verdict.
+- Pair order: the checker's witness by its definition, one pair and one apex
+  at a time, the reference for which witness the checker reports.
 - Rhombus and sub-triangle counts, and two derivations of a2(n) from them,
   the references for the closed forms.
+
+It also holds the Fano plane, the known defect-zero triple system the triple
+checks are run on.
 """
 
 from trilat.coloring import stripe_span_bound
 from trilat.counting import a2_closed, h_closed, m_closed
 from trilat.lattice import LatticePoint, PeriodicStripe, StripeWindow, TriangleRegion
 from trilat.triangles import EquilateralTriangle, enumerate_triangles
+from trilat.triples import TripleSystem
 
 
 def rotate60(p, direction):
@@ -60,6 +66,11 @@ def pair_walk_tallies(region):
     return tuple(tally)
 
 
+def reduce(region, p):
+    """The fundamental-domain point of a periodic stripe that p is identified with."""
+    return LatticePoint(p[0] % region.period, p[1])
+
+
 def is_proper_scan(c):
     """Enumerate every triangle and test it. Finite regions, and periodic
     stripes via an explicit window scan."""
@@ -70,7 +81,7 @@ def is_proper_scan(c):
         tris = enumerate_triangles(window)
 
         def color_of(p):
-            return c.assignment[region.reduce(p)]
+            return c.assignment[reduce(region, p)]
     else:
         tris = enumerate_triangles(region)
         color_of = c.assignment.__getitem__
@@ -78,6 +89,33 @@ def is_proper_scan(c):
         c1 = color_of(t.p1)
         if c1 == color_of(t.p2) == color_of(t.p3):
             return (False, t)
+    return (True, None)
+
+
+def is_proper_pairs(c):
+    """(verdict, witness) by the checker's definition: color classes in order of
+    first appearance among the scanned points (the region, or a periodic
+    stripe's window), then the pairs p, q of a class in rank order, row-major;
+    the first pair whose apex p + rot(q - p) is a region point of the same
+    color gives the witness."""
+    region = c.region
+    if isinstance(region, PeriodicStripe):
+        pts = StripeWindow(region.k, 0, region.period - 1 + stripe_span_bound(region.k)).points()
+
+        def color_of(p):
+            return c.assignment[reduce(region, p)]
+    else:
+        pts = region.points()
+        color_of = c.assignment.__getitem__
+    classes = {}  # in order of first appearance
+    for p in pts:
+        classes.setdefault(color_of(p), []).append(p)
+    for color, members in classes.items():
+        for i, p in enumerate(members):
+            for q in members[i + 1:]:
+                apex = p + rotate60(q - p, +1)
+                if region.contains(apex) and color_of(apex) == color:
+                    return (False, EquilateralTriangle.of(p, q, apex))
     return (True, None)
 
 
@@ -136,3 +174,14 @@ def m_by_inclusion_exclusion(k):
 def a2_by_decomposition(n):
     """a2(n) as the sum over k of h(k, n) * m(k)."""
     return sum(h_closed(k, n) * m_closed(k) for k in range(3, n + 1))
+
+
+def fano_plane():
+    """The 7-point Steiner triple system: lines x + y = z in GF(2)^3 minus origin."""
+    triples = []
+    for x in range(1, 8):
+        for y in range(x + 1, 8):
+            z = x ^ y
+            if z > y:
+                triples.append(frozenset((x, y, z)))
+    return TripleSystem(7, triples)

@@ -26,7 +26,7 @@ from trilat.solver import (
     solve_periodic_stripe,
 )
 from trilat.triangles import classify_pairs, count_upright, enumerate_triangles
-from trilat.triples import fano_plane, is_modified_sts, search_modified_sts, triangle_system
+from trilat.triples import is_modified_sts, search_modified_sts, triangle_system
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certificates"
 
@@ -161,7 +161,7 @@ def test_criterion_10_triple_systems():
     with criterion(10, 5):
         for n in range(2, 13):
             assert is_modified_sts(triangle_system(n)) == a2_closed(n)
-        assert is_modified_sts(fano_plane()) == 0
+        assert is_modified_sts(oracles.fano_plane()) == 0
         assert search_modified_sts(5, 0) == "UNSAT"
 
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import fano_plane
 
 from trilat.cli import main, render_svg
 from trilat.coloring import Coloring, is_proper, read_certificate, write_certificate
@@ -12,7 +13,7 @@ from trilat.constructions import banded_coloring, chevron_coloring
 from trilat.counting import report_closed
 from trilat.solver import decide_k_colorable
 from trilat.lattice import StripeWindow, TriangleRegion
-from trilat.triples import fano_plane, write_triples
+from trilat.triples import write_triples
 
 SATSTUB = f"{sys.executable} {Path(__file__).with_name('satstub.py')}"
 CERT_DIR = Path(__file__).resolve().parent.parent / "certificates"

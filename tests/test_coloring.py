@@ -1,13 +1,14 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import is_proper_scan
+from oracles import is_proper_pairs, is_proper_scan, reduce
 
 from trilat import coloring
 from trilat.coloring import (
@@ -37,17 +38,19 @@ def uniform(region, color=0, k=1):
 
 
 def agrees_with_scan(c):
-    """is_proper gives the scan oracle's verdict, and any witness it gives is a
-    monochromatic equilateral triangle of the region."""
+    """is_proper gives the scan oracle's verdict and the pair-order oracle's
+    witness, and any witness it gives is a monochromatic equilateral triangle
+    of the region."""
     ok, witness = is_proper(c)
     assert ok == is_proper_scan(c)[0]
+    assert (ok, witness) == is_proper_pairs(c)
     if witness is not None:
         p, q, r = witness.vertices()
         sides = {norm(q - p), norm(r - q), norm(p - r)}
         assert len(sides) == 1 and 0 not in sides
         assert all(c.region.contains(v) for v in (p, q, r))
         periodic = isinstance(c.region, PeriodicStripe)
-        colors = {c.assignment[c.region.reduce(v) if periodic else v] for v in (p, q, r)}
+        colors = {c.assignment[reduce(c.region, v) if periodic else v] for v in (p, q, r)}
         assert len(colors) == 1
 
 
@@ -131,6 +134,58 @@ def test_periodic_vs_scan_randomized():
         for _ in range(6):
             kk = rng.randint(1, 4)
             agrees_with_scan(Coloring(s, [rng.randrange(kk) for _ in range(s.size())], kk))
+
+
+def test_periodic_stripe_reduce():
+    s = PeriodicStripe(4, 5)
+    assert s.contains((123, 3))
+    assert not s.contains((0, 4))
+    assert reduce(s, (-1, 2)) == (4, 2)
+    assert len(list(s.fundamental_domain())) == 20
+
+
+@pytest.mark.parametrize("num_colors", [1, 254, 255, 256, 70_000])
+def test_checker_grid_dtypes(num_colors):
+    """The grid is uint8 up to 255 colors, then uint16, then uint32, with
+    num_colors itself as the sentinel: colors next to it must not be taken
+    for it, nor it for them."""
+    rng = random.Random(num_colors)
+    palette = sorted({0, num_colors - 1, max(0, num_colors - 2)})
+    for region in [TriangleRegion(9), StripeWindow(3, -4, 6), PeriodicStripe(4, 3)]:
+        for _ in range(8):
+            colors = [rng.choice(palette) for _ in range(region.size())]
+            agrees_with_scan(Coloring(region, colors, num_colors))
+
+
+@pytest.mark.parametrize("region", [
+    StripeWindow(1, -30, 30), StripeWindow(2, -40, 40), StripeWindow(3, 5, 60),
+    *[PeriodicStripe(k, p) for k in range(1, 7) for p in (1, 2)],
+], ids=str)
+def test_checker_clipped_lookups(region):
+    """Wide, short regions, whose apexes mostly fall outside the grid's rows
+    and are clipped onto its border rows."""
+    rng = random.Random(str(region))
+    agrees_with_scan(uniform(region))
+    for _ in range(10):
+        k = rng.randint(1, 4)
+        agrees_with_scan(Coloring(region, [rng.randrange(k) for _ in range(region.size())], k))
+
+
+def test_checker_memory_linear_in_stripe_period():
+    """The checker holds a few arrays of one entry per scanned point, so its
+    memory grows linearly with a periodic stripe's period, not as its square."""
+    rng = np.random.default_rng(0)
+    peaks = []
+    for period in (1000, 4000):
+        s = PeriodicStripe(6, period)
+        c = Coloring(s, rng.integers(0, 3000, s.size()), 3000)
+        tracemalloc.start()
+        try:
+            is_proper(c)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 6 * peaks[0]
 
 
 def test_span_bound_dominates_triangle_extent():

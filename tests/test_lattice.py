@@ -99,12 +99,15 @@ def test_stripe_window_membership():
     assert w.size() == 21
 
 
-def test_periodic_stripe_reduce():
-    s = PeriodicStripe(4, 5)
-    assert s.contains((123, 3))
-    assert not s.contains((0, 4))
-    assert s.reduce((-1, 2)) == (4, 2)
-    assert len(list(s.fundamental_domain())) == 20
+@pytest.mark.parametrize("region", [
+    *[TriangleRegion(n) for n in range(1, 31)],
+    StripeWindow(3, -4, 2), StripeWindow(2, 5, 4), PeriodicStripe(1, 1), PeriodicStripe(4, 5),
+], ids=str)
+def test_point_arrays_match_points(region):
+    a, b = region.point_arrays()
+    pts = list(region.fundamental_domain() if isinstance(region, PeriodicStripe) else region.points())
+    assert list(zip(a.tolist(), b.tolist())) == pts
+    assert (region.rank(a, b) == np.arange(len(pts))).all()
 
 
 def test_bad_regions():

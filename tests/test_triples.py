@@ -3,11 +3,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from oracles import fano_plane
 
 from trilat.counting import a2_closed
 from trilat.triples import (
     TripleSystem,
-    fano_plane,
     is_modified_sts,
     profile,
     read_triples,
