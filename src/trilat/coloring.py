@@ -35,6 +35,22 @@ order, is the witness; the triangle-scan oracle is in tests/oracles.py.
 Periodic stripe colorings are scanned on a finite window: any equilateral
 triangle with vertices in the k-row stripe has bounded horizontal extent, so a
 window of one period plus that bound holds a translate of every triangle.
+
+Certificate and DIMACS text.  Certificates, DIMACS clause blocks and `trilat
+enumerate` are written by one function, `format_chunks`, from a template such
+as "%d %d %d\n" whose only directives are %d, and rows of int64 values, 32,768
+rows at a time.  The template splits on %d into literals, and the text of a
+chunk is laid out in a byte array as one fixed-width slot per value: the
+literal before it, right-aligned, a sign byte ('-', or '0' for zero), and the
+value's magnitude (as uint64, so INT64_MIN has one) in groups of four decimal
+digits, as many groups as the chunk's largest magnitude needs.  Each group is
+one uint32 lookup in a digit table of 2 x 10**4 four-byte entries: digits
+right-aligned behind 0 bytes for the leading group, zero-padded for a group
+below a non-zero one, and all 0 bytes for a leading zero group.  The literal
+before a row's first value is the previous row's last literal, the separator
+and the row's first literal.  Every unused byte of the layout is 0, so one
+pass that drops the 0 bytes leaves the text.  The table is built on first use
+(`functools.cache`), so importing the module does no work.
 """
 
 from __future__ import annotations
@@ -44,7 +60,7 @@ import re
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -209,21 +225,90 @@ MAGIC = "trilat-coloring v1"
 _POINT_LINE = "%d %d %d\n"  # one line per point of a certificate: a b color
 
 
-# rows formatted per chunk, so no tuple of a whole large array is built
+# rows laid out per chunk, so the byte array of a whole large array is never built
 _FORMAT_ROWS = 1 << 15
+# one digit group: four decimal digits, looked up as four ASCII bytes at once
+_GROUP = 10 ** 4
+
+
+@cache
+def _digit_table() -> np.ndarray:
+    """Four ASCII bytes per digit group g < 10**4, as one uint32 each.
+
+    Entry g holds g's digits right-aligned, with 0 bytes before them (g = 0 is
+    four 0 bytes); entry 10**4 + g holds g zero-padded to four digits, for a
+    group below a non-zero higher group.  Built on first use, not at import.
+    """
+    g = np.arange(_GROUP, dtype=np.uint16)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (g // place % 10 + ord("0")).astype(np.uint8)
+    unpadded = np.where(g >= place, padded, 0).astype(np.uint8)
+    return np.concatenate([unpadded, padded]).view(np.uint32).ravel()
+
+
+def _chunk_text(values: np.ndarray, before: list[bytes], first: bytes, last: bytes) -> str:
+    """Field k of a flat int64 array in decimal, each after its literal
+    before[k % len(before)], except `first` before field 0, and `last` after
+    the last field (module docstring)."""
+    lit = max(map(len, before))
+    mag = np.abs(values).view(np.uint64)  # abs wraps INT64_MIN to itself: 2**63 as uint64
+    groups = -(-len(str(int(mag.max()))) // 4)
+    slot = lit + 1 + 4 * groups  # literal, sign byte, digit groups
+    fields = values.size * slot
+    buf = bytearray(fields + len(last))
+    text = np.frombuffer(buf, dtype=np.uint8)
+    text[:fields].reshape(-1, len(before) * slot)[:] = np.frombuffer(
+        b"".join(p.rjust(lit, b"\0") + bytes(1 + 4 * groups) for p in before), dtype=np.uint8)
+    buf[:lit] = first.rjust(lit, b"\0")
+    buf[fields:] = last
+    sign = text[lit:fields:slot]
+    sign[values < 0] = ord("-")
+    sign[values == 0] = ord("0")  # zero has only empty digit groups
+    digits = np.ndarray((values.size, groups), dtype=np.uint32, buffer=buf,
+                        offset=lit + 1, strides=(slot, 4))
+    table = _digit_table()
+    # group j counts from the most significant; a group below a non-zero one is padded;
+    # every index is in the table, and mode="clip" lets take write into the strided view
+    for j in range(groups - 1, 0, -1):
+        high = mag // np.uint64(_GROUP)
+        mag -= high * np.uint64(_GROUP)
+        mag += (high != 0) * np.uint64(_GROUP)
+        table.take(mag.view(np.int64), out=digits[:, j], mode="clip")
+        mag = high
+    table.take(mag.view(np.int64), out=digits[:, 0], mode="clip")
+    del mag  # not held while the text is made
+    return buf.translate(None, b"\0").decode()
 
 
 def format_chunks(line: str, rows: np.ndarray, sep: str = "") -> Iterator[str]:
     """`line % tuple(row)` for each row of a 2-D int array, joined by `sep`,
-    one %-format per chunk of rows; the chunks are not joined to each other."""
-    for chunk in np.split(rows, range(_FORMAT_ROWS, len(rows), _FORMAT_ROWS)):
-        yield sep.join([line] * len(chunk)) % tuple(chunk.ravel().tolist())
+    one piece of text per chunk of 32,768 rows; the pieces are not joined to
+    each other.
+
+    `line` holds one `%d` per column and no other % directive; `line` and
+    `sep` hold no NUL character (ValueError otherwise).  The text is laid out
+    as bytes, as the module docstring describes.
+    """
+    pieces = [p.encode() for p in line.split("%d")]
+    gap = sep.encode()
+    if any(b"%" in p for p in pieces) or b"\0" in line.encode() + gap:
+        raise ValueError(f"a line takes %d directives only, and no NUL: {line!r}")
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(pieces) < 2 or rows.ndim != 2 or rows.shape[1] != len(pieces) - 1:
+        raise ValueError(f"{line!r} does not fit rows of shape {rows.shape}")
+    # the literal before each field; before a row's first field it is the end of
+    # the row above, the separator and the row's start
+    before = [pieces[-1] + gap + pieces[0], *pieces[1:-1]]
+    for i in range(0, len(rows), _FORMAT_ROWS):
+        yield _chunk_text(rows[i:i + _FORMAT_ROWS].ravel(), before, pieces[0], pieces[-1])
 
 
 def format_rows(line: str, rows: np.ndarray, sep: str = "") -> str:
     """`line % tuple(row)` for each row of a 2-D int array, joined by `sep`.
 
-    The text of certificates, DIMACS clause blocks and triangle listings.
+    The text of certificates, DIMACS clause blocks and triangle listings, from
+    one byte-array writer (`format_chunks`).  `line` takes `%d` directives
+    only, one per column; any other directive raises ValueError.
     """
     return sep.join(format_chunks(line, rows, sep))
 

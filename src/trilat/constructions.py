@@ -1,15 +1,10 @@
 """Explicit coloring constructions giving upper bounds on the chromatic values.
 
-Three schemes:
+Two schemes:
 
 * chevron: the middle column of T_n is one class; every other class is the
   pair of 60-degree half-lines (one of constant a, one of constant a+b)
   meeting at a middle-column point.  Uses floor(n/2) + 1 colors.
-
-* stripe partition: tile the k-row stripe with alternating upright and
-  inverted triangles, coloring the upright copies from a proper coloring of
-  T_k and the inverted copies from the same coloring under a half-turn, with a
-  second palette.  Shows g(k) <= 2 f(k).
 
 * banded: the chevron scheme with d middle columns as singleton-column classes
   and the chevron arms grouped into slanted bands of w consecutive lines; the
@@ -49,33 +44,6 @@ def chevron_coloring(n: int, verify: bool = True) -> Coloring:
         ok, witness = is_proper(coloring)
         if not ok:
             raise ConstructionError("chevron coloring improper", witness)
-    return coloring
-
-
-def stripe_partition_coloring(k: int, tri_coloring: Coloring) -> Coloring:
-    """Period-k coloring of the k-row stripe from a proper coloring of T_k.
-
-    Row b of period cell j splits as [0, k-1-b] (upright copy) and
-    [k-b, k-1] (inverted copy); the inverted part is the image of a smaller
-    upright triangle under a half-turn and takes a disjoint palette.
-    """
-    if not isinstance(tri_coloring.region, TriangleRegion) or tri_coloring.region.n != k:
-        raise ValueError("tri_coloring must color Triangle(k)")
-    ok, witness = is_proper(tri_coloring)
-    if not ok:
-        raise ConstructionError("input coloring improper", witness)
-    f = tri_coloring.num_colors
-    stripe = PeriodicStripe(k, k)
-    a, b = stripe.point_arrays()
-    upright = a <= k - 1 - b
-    # half-turn (a, b) -> (k-1-a, k-1-b) takes the inverted part into Triangle(k-1)
-    src_a = np.where(upright, a, k - 1 - a)
-    src_b = np.where(upright, b, k - 1 - b)
-    colors = tri_coloring.colors[tri_coloring.region.rank(src_a, src_b)] + np.where(upright, 0, f)
-    coloring = Coloring(stripe, colors, 2 * f)
-    ok, witness = is_proper(coloring)
-    if not ok:
-        raise ConstructionError("stripe partition coloring improper", witness)
     return coloring
 
 

@@ -84,8 +84,25 @@ def triangle_ranks(region: Region) -> np.ndarray:
     ranks.sort(axis=1)
     # sorted() order of EquilateralTriangle: vertices compared as (a, b) tuples
     a_pts, b_pts = region.point_arrays()
-    k = (a_pts * (int(b_pts.max(initial=0)) + 1) + b_pts)[ranks]
-    return ranks[np.lexsort((k[:, 2], k[:, 1], k[:, 0]))]
+    key = a_pts * (int(b_pts.max(initial=0)) + 1) + b_pts
+    key -= key.min(initial=0)  # a window may reach to negative a
+    return ranks[_row_order(key[ranks])]
+
+
+def _row_order(keys: np.ndarray) -> np.ndarray:
+    """The lexicographic order of the rows of a (T, 3) array of distinct rows of
+    non-negative ints: one argsort of the packed key (k0*S + k1)*S + k2, with S
+    the key range, when S**3 < 2**63, else a three-key lexsort.  The rows are
+    distinct (no two triangles share their vertices), so the order is unique
+    and the argsort need not be stable."""
+    span = int(keys.max(initial=0)) + 1
+    if span ** 3 < 1 << 63:
+        packed = keys[:, 0] * span
+        packed += keys[:, 1]
+        packed *= span
+        packed += keys[:, 2]
+        return np.argsort(packed)
+    return np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
 
 
 def enumerate_triangles(region: Region) -> list[EquilateralTriangle]:

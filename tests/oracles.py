@@ -14,12 +14,18 @@ runs any of them, so they live with the tests.
   at a time, the reference for which witness the checker reports.
 - Rhombus and sub-triangle counts, and two derivations of a2(n) from them,
   the references for the closed forms.
+- Text: `line % tuple(row)` per row, the reference for the byte-array writer
+  behind certificates, DIMACS export and `trilat enumerate`.
 
 It also holds the Fano plane, the known defect-zero triple system the triple
-checks are run on.
+checks are run on, and the stripe partition coloring (g(k) <= 2 f(k)), which
+no trilat command builds.
 """
 
-from trilat.coloring import stripe_span_bound
+import numpy as np
+
+from trilat.coloring import Coloring, is_proper, stripe_span_bound
+from trilat.constructions import ConstructionError
 from trilat.counting import a2_closed, h_closed, m_closed
 from trilat.lattice import LatticePoint, PeriodicStripe, StripeWindow, TriangleRegion
 from trilat.triangles import EquilateralTriangle, enumerate_triangles
@@ -185,3 +191,37 @@ def fano_plane():
             if z > y:
                 triples.append(frozenset((x, y, z)))
     return TripleSystem(7, triples)
+
+
+def format_rows_by_percent(line, rows, sep=""):
+    """`line % tuple(row)` for each row of a 2-D int array, joined by `sep`."""
+    return sep.join(line % tuple(row) for row in np.asarray(rows).tolist())
+
+
+def stripe_partition_coloring(k, tri_coloring):
+    """Period-k coloring of the k-row stripe from a proper coloring of T_k.
+
+    The k-row stripe is tiled with alternating upright and inverted triangles:
+    the upright copies take the coloring of T_k, the inverted ones the same
+    coloring under a half-turn with a second palette, so g(k) <= 2 f(k).
+    Row b of period cell j splits as [0, k-1-b] (upright copy) and
+    [k-b, k-1] (inverted copy).
+    """
+    if not isinstance(tri_coloring.region, TriangleRegion) or tri_coloring.region.n != k:
+        raise ValueError("tri_coloring must color Triangle(k)")
+    ok, witness = is_proper(tri_coloring)
+    if not ok:
+        raise ConstructionError("input coloring improper", witness)
+    f = tri_coloring.num_colors
+    stripe = PeriodicStripe(k, k)
+    a, b = stripe.point_arrays()
+    upright = a <= k - 1 - b
+    # half-turn (a, b) -> (k-1-a, k-1-b) takes the inverted part into Triangle(k-1)
+    src_a = np.where(upright, a, k - 1 - a)
+    src_b = np.where(upright, b, k - 1 - b)
+    colors = tri_coloring.colors[tri_coloring.region.rank(src_a, src_b)] + np.where(upright, 0, f)
+    coloring = Coloring(stripe, colors, 2 * f)
+    ok, witness = is_proper(coloring)
+    if not ok:
+        raise ConstructionError("stripe partition coloring improper", witness)
+    return coloring

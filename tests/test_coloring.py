@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import is_proper_pairs, is_proper_scan, reduce
+from hypothesis import given, settings, strategies as st
+from oracles import format_rows_by_percent, is_proper_pairs, is_proper_scan, reduce
 
 from trilat import coloring
 from trilat.coloring import (
@@ -427,3 +428,62 @@ def test_partial_coloring_rejected():
     region = TriangleRegion(2)
     with pytest.raises(CertificateError, match="partial"):
         Coloring(region, [0], 1)
+
+
+# -- the text writer ----------------------------------------------------------
+
+# every template the program writes: certificates, DIMACS clause blocks of
+# widths 1..8, `trilat enumerate` as TSV, and as JSON with its separator
+TEMPLATES = [("%d %d %d\n", ""), *(("%d " * w + "0\n", "") for w in range(1, 9)),
+             ("%d %d\t%d %d\t%d %d\n", ""), ("[[%d, %d], [%d, %d], [%d, %d]]", ", ")]
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+# zero, one, the boundaries of every digit-group count, a zero group below a
+# non-zero one, the certificate clamp and the ends of int64, with both signs
+EDGES = sorted({s * v for s in (1, -1) for v in (
+    0, 1, 10_001, 1 << 61, INT64_MAX,
+    *(10 ** (4 * g) + d for g in range(1, 5) for d in (-1, 0, 1)))} | {INT64_MIN})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_writer_matches_percent_format(data):
+    line, sep = data.draw(st.sampled_from(TEMPLATES))
+    width = line.count("%d")
+    value = st.one_of(st.sampled_from(EDGES), st.integers(INT64_MIN, INT64_MAX),
+                      st.integers(-10 ** 5, 10 ** 5))
+    rows = np.array(data.draw(st.lists(st.lists(value, min_size=width, max_size=width), max_size=12)),
+                    dtype=np.int64).reshape(-1, width)
+    assert coloring.format_rows(line, rows, sep) == format_rows_by_percent(line, rows, sep)
+
+
+def test_writer_edge_values():
+    rows = np.array(EDGES, dtype=np.int64).reshape(-1, 1)
+    for line, sep in [("%d\n", ""), ("[%d]", ", ")]:
+        assert coloring.format_rows(line, rows, sep) == format_rows_by_percent(line, rows, sep)
+    assert coloring.format_rows("%d", np.array([[INT64_MIN]])) == "-9223372036854775808"
+
+
+@pytest.mark.parametrize("size", [0, 1, 32_767, 32_768, 32_769])
+def test_writer_chunks(size):
+    rng = np.random.default_rng(size)
+    for line, sep in TEMPLATES[-2:]:
+        rows = rng.integers(-10 ** 6, 10 ** 6, size=(size, 6))
+        rows[::7] = rng.integers(INT64_MIN, INT64_MAX, size=rows[::7].shape, endpoint=True)
+        chunks = list(coloring.format_chunks(line, rows, sep))
+        assert len(chunks) == -(-size // 32_768)
+        # the chunks joined by the separator are one join of all the rows
+        assert sep.join(chunks) == coloring.format_rows(line, rows, sep) \
+            == format_rows_by_percent(line, rows, sep)
+
+
+@pytest.mark.parametrize("line,sep", [("%s %d\n", ""), ("%d %5d\n", ""), ("%i\n", ""),
+                                      ("%d %%\n", ""), ("100%% %d\n", ""), ("no fields\n", ""),
+                                      ("%d\x00\n", ""), ("%d\n", "\x00")])
+def test_writer_rejects_other_templates(line, sep):
+    with pytest.raises(ValueError):
+        coloring.format_rows(line, np.zeros((2, line.count("%d")), dtype=np.int64), sep)
+
+
+def test_writer_rejects_rows_of_another_width():
+    with pytest.raises(ValueError):
+        coloring.format_rows("%d %d\n", np.zeros((2, 3), dtype=np.int64))

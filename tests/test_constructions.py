@@ -2,7 +2,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
-from oracles import is_proper_scan
+from oracles import is_proper_scan, stripe_partition_coloring
 
 from trilat.coloring import (
     Coloring,
@@ -16,7 +16,6 @@ from trilat.constructions import (
     banded_coloring,
     chevron_coloring,
     minimal_spacer,
-    stripe_partition_coloring,
 )
 from trilat.lattice import LatticePoint, PeriodicStripe, TriangleRegion
 from trilat.solver import SAT, decide_k_colorable, solve_periodic_stripe

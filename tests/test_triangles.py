@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from oracles import apex_candidates, pair_walk_tallies, pair_walk_triangles
@@ -13,15 +14,18 @@ from trilat.lattice import (
 )
 from trilat.triangles import (
     EquilateralTriangle,
+    _row_order,
     classify_pairs,
     count_upright,
     enumerate_triangles,
     triangle_ranks,
 )
 
-# T1..T15, and every window the periodic-stripe constraints read for k <= 7, p <= 12
+# T1..T15, every window the periodic-stripe constraints read for k <= 7, p <= 12,
+# and a window reaching to negative a
 ORACLE_REGIONS = [TriangleRegion(n) for n in range(1, 16)] + [
-    StripeWindow(k, 0, p - 1 + stripe_span_bound(k)) for k in range(1, 8) for p in range(1, 13)]
+    StripeWindow(k, 0, p - 1 + stripe_span_bound(k)) for k in range(1, 8) for p in range(1, 13)] + [
+    StripeWindow(4, -6, 3)]
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(LatticePoint, coords, coords)
@@ -70,6 +74,21 @@ def test_generator_matches_pair_walk(region):
     cls = classify_pairs(region)
     assert cls.tallies() == pair_walk_tallies(region)
     assert cls.triangles == len(triangle_ranks(region))
+
+
+@pytest.mark.parametrize("span", [7, (1 << 21) - 1, 1 << 21, 1 << 40])
+def test_row_order_packed_and_lexsort(span, monkeypatch):
+    """Rows of keys in [0, span): the packed argsort while span**3 < 2**63
+    (up to 2**21 - 1), the lexsort from 2**21 on; both give sorted() order."""
+    rng = np.random.default_rng(span)
+    keys = rng.integers(0, span, size=(400, 3))
+    keys[:2] = [[span - 1] * 3, [0, span - 1, 0]]
+    keys = rng.permutation(np.unique(keys, axis=0))
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(k) or lexsort(k))
+    assert keys[_row_order(keys)].tolist() == sorted(keys.tolist())
+    assert bool(lexsorts) == (span >= 1 << 21)
 
 
 def test_enumerate_rejects_periodic():
