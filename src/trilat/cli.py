@@ -16,6 +16,7 @@ import numpy as np
 
 from . import constructions, counting, solver, triples
 from .coloring import (
+    _CLAMP,
     CertificateError,
     Coloring,
     color_count,
@@ -36,6 +37,10 @@ EX_UNKNOWN = 3
 # and banded_coloring rejects a negative `construct --d` itself
 LEAST = {"n": 1, "n_min": 1, "colors": 1, "width": 1, "stripe": 1, "period": 1,
          "max_period": 1, "k": 1, "nodes": 0, "v": 3, "r": 0}
+# the most colors a certificate may declare, and the most DIMACS variables
+# (points x colors) that common SAT solvers read
+MAX_COLORS = _CLAMP
+MAX_DIMACS_VARS = (1 << 31) - 1
 
 PALETTE = [
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231", "#911eb4",
@@ -67,11 +72,14 @@ def _emit(chunks: Iterable[str], output) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _region(args):
+    """The --n triangle or the --stripe/--period stripe of a DIMACS command."""
+    return PeriodicStripe(args.stripe, args.period) if args.stripe else TriangleRegion(args.n)
+
+
 def _cnf(args) -> solver.CnfInstance:
-    """The DIMACS instance of the --n triangle or the --stripe/--period stripe."""
-    region = (PeriodicStripe(args.stripe, args.period)
-              if args.stripe else TriangleRegion(args.n))
-    return solver.export_dimacs(region, args.colors)
+    """The DIMACS instance of the command's region."""
+    return solver.export_dimacs(_region(args), args.colors)
 
 
 def _read_certificate(path: str):
@@ -417,6 +425,8 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
+        if getattr(args, "colors", 0) > MAX_COLORS:
+            raise ValueError("--colors must be at most 2**61")
         if getattr(args, "n_min", None) is None and hasattr(args, "n_min"):
             args.n_min = args.n
         if args.command in ("export-dimacs", "import-solution"):
@@ -424,6 +434,8 @@ def main(argv=None) -> int:
                 raise ValueError("give exactly one of --n or --stripe")
             if args.stripe is not None and not args.period:
                 raise ValueError("--stripe requires --period")
+            if _region(args).size() * args.colors > MAX_DIMACS_VARS:
+                raise ValueError(f"more than {MAX_DIMACS_VARS} DIMACS variables (points x colors)")
         if args.command == "triples":
             if args.action == "check" and not args.file:
                 raise ValueError("check requires a file")

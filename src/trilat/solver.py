@@ -188,9 +188,11 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
     index[order] = np.arange(n)
     partners = constraint_lists(n, index[ternary], index[binary])[0]
     bits = [1 << v for v in range(n)]
-    dom = [(1 << K) - 1] * n
+    # the color cap below is at most n while a variable is uncolored, so no
+    # color from n on is ever tried
+    dom = [(1 << min(K, n)) - 1] * n
     color = [-1] * n
-    D = [(1 << n) - 1] * K  # D[c]: the variables whose domain holds c
+    D = [(1 << n) - 1] * min(K, n)  # D[c]: the variables whose domain holds c
     U = (1 << n) - 1        # the uncolored variables
     # the node budget is checked where a node is counted, so it is never overshot
     limit = budget.max_nodes if budget.max_nodes is not None else sys.maxsize

@@ -7,18 +7,20 @@ multiplicities shows such a system always has exactly C(v, 2) / 3 triples, so
 3 | C(v, 2) is a hard feasibility precondition independent of r.
 
 The equilateral triangles of T_n, viewed as triples on its n(n+1)/2 points,
-form such a system with r = a2(n).
+form such a system with r = a2(n).  A system is a (T, 3) int64 array of points
+1..v, rows ascending; its text is `trilat-triples v1`, `points <v>` and a line
+`a b c` per triple (any order; written sorted), `#` comments and blanks skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
-from typing import Optional
 
 import numpy as np
 
+from .coloring import format_rows
 from .lattice import TriangleRegion
 from .solver import constraints
 
@@ -28,27 +30,29 @@ HEADER = "trilat-triples v1"
 @dataclass
 class TripleSystem:
     v: int
-    triples: list[frozenset]
+    triples: np.ndarray  # (T, 3) int64, rows ascending, points 1..v
 
     def __post_init__(self):
-        if self.v >= 1 << 63:  # points are counted as int64
-            raise ValueError(f"too many points: {self.v}")
-        triples = list(map(frozenset, self.triples))
-        sizes = np.fromiter(map(len, triples), dtype=np.int64, count=len(triples))
-        # object entries compare as Python ints, so no value can overflow
-        points = np.fromiter(chain.from_iterable(triples), dtype=object, count=int(sizes.sum()))
-        bad = sizes != 3
-        bad[np.repeat(np.arange(len(triples)), sizes)[(points < 1) | (points > self.v)]] = True
-        first_bad = int(np.argmax(bad)) if bad.any() else len(triples)
-        head = triples[:first_bad]  # the first fault in list order is reported
-        if len(set(head)) < len(head):
-            seen = set()
-            for t in head:
-                if t in seen:
-                    raise ValueError(f"duplicate triple {sorted(t)}")
-                seen.add(t)
-        if first_bad < len(triples):
-            raise ValueError(f"invalid triple {sorted(triples[first_bad])}")
+        if not 0 <= self.v < 1 << 63:  # points are counted as int64
+            raise ValueError(f"{'too many' if self.v > 0 else 'negative'} points: {self.v}")
+        try:
+            rows = np.asarray(self.triples, dtype=np.int64)
+            if rows.shape != (0,) and (rows.ndim != 2 or rows.shape[1] != 3):
+                raise ValueError(f"shape {rows.shape}, not (T, 3)")
+        except (ValueError, OverflowError, TypeError) as e:  # a wrong shape, ragged rows, non-ints
+            raise ValueError(f"invalid triple rows: {e}") from e
+        self.triples = rows = rows.reshape(-1, 3)
+        a, b, c = rows.T
+        # report the first fault in row order: the first invalid row, unless a row
+        # before it repeats one (a later row of an equal run in the stable lexsort)
+        first_bad = int(np.append((a < 1) | (a >= b) | (b >= c) | (c > self.v), True).argmax())
+        head = rows[:first_bad]
+        order = np.lexsort(head.T)
+        later = order[1:][(head[order[1:]] == head[order[:-1]]).all(axis=1)]
+        if later.size:
+            raise ValueError(f"duplicate triple {head[later.min()].tolist()}")
+        if first_bad < len(rows):
+            raise ValueError(f"invalid triple {rows[first_bad].tolist()}")
 
 
 @dataclass
@@ -61,38 +65,28 @@ class PairProfile:
 
 
 def profile(ts: TripleSystem) -> PairProfile:
-    points = np.fromiter(chain.from_iterable(ts.triples), dtype=np.int64,
-                         count=3 * len(ts.triples))
-    # a pair's key is built from the ranks of its points among those used
-    used, ranks = np.unique(points, return_inverse=True)
-    tri = np.sort(ranks.reshape(-1, 3), axis=1)
-    keys = np.concatenate([tri[:, 0] * used.size + tri[:, 1],
-                           tri[:, 0] * used.size + tri[:, 2],
-                           tri[:, 1] * used.size + tri[:, 2]])
+    # pair keys from the ranks of the points used (the ranks keep rows ascending)
+    used, ranks = np.unique(ts.triples, return_inverse=True)
+    tri = ranks.reshape(-1, 3)
+    keys = tri[:, [0, 0, 1]] * used.size + tri[:, [1, 2, 2]]
     covered = np.unique(keys, return_counts=True)[1]
-    hist = {m: c for m, c in enumerate(np.bincount(covered).tolist()) if c}
-    if comb(ts.v, 2) > covered.size:
-        hist[0] = comb(ts.v, 2) - covered.size
-    return PairProfile(hist)
+    counts = np.bincount(covered, minlength=1).tolist()
+    counts[0] = comb(ts.v, 2) - covered.size  # the pairs no triple covers
+    return PairProfile({m: c for m, c in enumerate(counts) if c})
 
 
-def is_modified_sts(ts: TripleSystem) -> Optional[int]:
+def is_modified_sts(ts: TripleSystem) -> int | None:
     """The defect r if the system is a modified triple system, else None."""
     prof = profile(ts)
-    if any(m > 2 for m in prof.histogram):
-        return None
     r = prof.count(0)
-    if prof.count(2) != r:
-        return None
-    if prof.count(1) != comb(ts.v, 2) - 2 * r:
-        return None
-    return r
+    # the histogram counts all C(v, 2) pairs, so C(v, 2) - 2r are then covered once
+    return r if prof.histogram.keys() <= {0, 1, 2} and prof.count(2) == r else None
 
 
 def triangle_system(n: int) -> TripleSystem:
     """The equilateral triangles of T_n as triples on its points (1-indexed canonically)."""
     pts, ternary, _ = constraints(TriangleRegion(n))
-    return TripleSystem(len(pts), list(map(frozenset, (ternary + 1).tolist())))
+    return TripleSystem(len(pts), ternary + 1)
 
 
 def search_modified_sts(v: int, r: int, max_nodes: int = 5_000_000):
@@ -104,15 +98,13 @@ def search_modified_sts(v: int, r: int, max_nodes: int = 5_000_000):
     if v < 3 or r < 0:
         raise ValueError("need v >= 3 and r >= 0")
     pairs_total = comb(v, 2)
-    if pairs_total % 3 != 0:
-        return "UNSAT"  # |triples| = C(v,2)/3 must be integral
+    if pairs_total % 3 or r > pairs_total:
+        return "UNSAT"  # |triples| = C(v,2)/3 must be integral, and r <= C(v,2)
     target = pairs_total // 3
-    if r > pairs_total:
-        return "UNSAT"
-    candidates = [tuple(c) for c in combinations(range(1, v + 1), 3)]
-    pair_ids = {frozenset(p): i for i, p in enumerate(combinations(range(1, v + 1), 2))}
-    cand_pairs = [tuple(pair_ids[frozenset(p)] for p in combinations(c, 2))
-                  for c in candidates]
+    candidates = np.array(list(combinations(range(1, v + 1), 3)), dtype=np.int64)
+    # pair (i, j), i < j, is number (i-1)(2v-i)/2 + j-i-1 in combinations order
+    i, j = candidates[:, [0, 0, 1]], candidates[:, [1, 2, 2]]
+    cand_pairs = ((i - 1) * (2 * v - i) // 2 + j - i - 1).tolist()
     mult = [0] * pairs_total
     # one loop over an explicit stack: chosen[d] is the candidate taken at
     # depth d, twos[d] the doubly covered pairs after d choices, ci the next
@@ -148,7 +140,7 @@ def search_modified_sts(v: int, r: int, max_nodes: int = 5_000_000):
         # too few candidates are left (never so at the root: C(v, 3) >= target)
         if len(chosen) == target:
             if mult.count(0) == r and new_twos == r:
-                return TripleSystem(v, [frozenset(candidates[c]) for c in chosen])
+                return TripleSystem(v, candidates[chosen])
             ci = len(candidates)
         elif len(candidates) - ci < target - len(chosen):
             ci = len(candidates)
@@ -158,19 +150,27 @@ def search_modified_sts(v: int, r: int, max_nodes: int = 5_000_000):
 
 
 def write_triples(ts: TripleSystem) -> str:
-    lines = [HEADER, f"points {ts.v}"]
-    for t in sorted(tuple(sorted(t)) for t in ts.triples):
-        lines.append(" ".join(map(str, t)))
-    return "\n".join(lines) + "\n"
+    rows = ts.triples[np.lexsort(ts.triples.T[::-1])]
+    return f"{HEADER}\npoints {ts.v}\n" + format_rows("%d %d %d\n", rows)
 
 
 def read_triples(text: str) -> TripleSystem:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or lines[0] != HEADER:
         raise ValueError("bad or missing header")
-    if len(lines) < 2 or not lines[1].startswith("points "):
-        raise ValueError("missing points line")
-    v = int(lines[1].split()[1])
-    triples = [frozenset(map(int, ln.split())) for ln in lines[2:]]
-    return TripleSystem(v, triples)
+    points = lines[1].split() if len(lines) > 1 else []
+    if len(points) != 2 or points[0] != "points":
+        raise ValueError("bad or missing points line: expected 'points <count>'")
+    v = int(points[1])
+    rows = []
+    for ln in lines[2:]:
+        try:
+            row = sorted(map(int, ln.split()))
+            ok = len(set(row)) == len(row) == 3 and -1 << 63 <= row[0] and row[2] < 1 << 63
+        except ValueError:
+            row, ok = ln.split(), False
+        if not ok:
+            TripleSystem(v, rows)  # a fault on an earlier line is reported first
+            raise ValueError(f"invalid triple {row}")
+        rows.append(row)
+    return TripleSystem(v, rows)

@@ -189,7 +189,7 @@ def fano_plane():
         for y in range(x + 1, 8):
             z = x ^ y
             if z > y:
-                triples.append(frozenset((x, y, z)))
+                triples.append((x, y, z))
     return TripleSystem(7, triples)
 
 

@@ -444,6 +444,11 @@ def test_triples_malformed(capsys, tmp_path):
     f.write_text("garbage\n")
     code, _, err = run(capsys, "triples", "check", str(f))
     assert code == 2
+    for points, fault in [("-5", "negative points: -5"), ("7 8", "bad or missing points line")]:
+        f.write_text(f"trilat-triples v1\npoints {points}\n")
+        code, out, err = run(capsys, "triples", "check", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("malformed triple system: " + fault)
 
 
 @pytest.mark.parametrize("argv", [
@@ -477,6 +482,37 @@ def test_out_of_range_arguments(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (64, "")
     assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv,fault", [
+    (("solve", "--n", "3", "--colors", str(10 ** 20)), "--colors must be at most 2**61"),
+    (("solve", "--n", "3", "--colors", str((1 << 61) + 1)), "--colors must be at most 2**61"),
+    (("stripe", "--k", "3", "--period", "2", "--colors", str(10 ** 20)),
+     "--colors must be at most 2**61"),
+    (("export-dimacs", "--n", "3", "--colors", "9999999999999"), "DIMACS variables"),
+    (("export-dimacs", "--n", "3", "--colors", str(10 ** 20)), "--colors must be at most"),
+    (("export-dimacs", "--stripe", "2", "--period", "3", "--colors", str((1 << 31) // 6 + 1)),
+     "DIMACS variables"),
+    (("import-solution", "model.txt", "--n", "3", "--colors", "9999999999999"), "DIMACS variables"),
+], ids=["solve-1e20", "solve-2**61+1", "stripe-1e20", "export-1e13", "export-1e20",
+        "export-stripe-2**31", "import-1e13"])
+def test_huge_colors_are_usage_errors(capsys, argv, fault):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ") and fault in err
+
+
+@pytest.mark.parametrize("colors", [100_000_000, 1 << 61])
+def test_huge_colors_solve(capsys, tmp_path, colors):
+    # the search never tries a color from the number of points on, so a huge
+    # palette costs what T3's six points do, and the certificate reads back
+    cert = tmp_path / "t3.cert"
+    code, out, _ = run(capsys, "solve", "--n", "3", "--colors", str(colors), "-o", str(cert))
+    assert code == 0 and "s SATISFIABLE" in out
+    assert out.startswith("c nodes 6 ")
+    assert read_certificate(cert.read_text()).num_colors == colors
+    code, out, _ = run(capsys, "stripe", "--k", "3", "--period", "2", "--colors", str(colors))
+    assert code == 0 and "period=2: SAT" in out
 
 
 def test_render_deterministic(capsys, tmp_path):

@@ -355,3 +355,15 @@ def test_deterministic_given_node_budget():
     assert a.status == b.status
     assert a.stats.nodes == b.stats.nodes
     assert a.coloring.assignment == b.coloring.assignment
+
+
+@pytest.mark.parametrize("region", [TriangleRegion(3), TriangleRegion(6), PeriodicStripe(3, 2)],
+                         ids=["T3", "T6", "S3p2"])
+def test_huge_palette_searches_as_one_color_per_point(region):
+    # no color from the number of points on is ever tried, so a palette of
+    # 10**20 colors takes the same nodes and gives the same coloring
+    n = region.size()
+    small, huge = decide_k_colorable(region, n), decide_k_colorable(region, 10 ** 20)
+    assert (small.status, small.stats.nodes) == (huge.status, huge.stats.nodes) == (SAT, n)
+    assert small.coloring.colors.tolist() == huge.coloring.colors.tolist()
+    assert huge.coloring.num_colors == 10 ** 20
