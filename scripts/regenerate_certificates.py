@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from trilat.coloring import color_count, is_proper, write_certificate
-from trilat.lattice import TriangleRegion
-from trilat.solver import SAT, decide_k_colorable, solve_periodic_stripe
+from trilat.lattice import PeriodicStripe, TriangleRegion
+from trilat.solver import SAT, decide_k_colorable
 
 TABLE = {9: 4, 10: 4, 11: 4, 12: 5, 13: 5, 14: 5, 15: 5,
          16: 6, 17: 6, 18: 7, 19: 7, 20: 7}
@@ -26,7 +26,7 @@ def generate():
         assert is_proper(out.coloring)[0]
         yield f"t{n:02d}_k{k}.cert", write_certificate(out.coloring)
     rows, period, colors = STRIPE
-    out = solve_periodic_stripe(rows, period, colors)
+    out = decide_k_colorable(PeriodicStripe(rows, period), colors)
     assert out.status == SAT
     assert is_proper(out.coloring)[0]
     assert color_count(out.coloring) <= colors

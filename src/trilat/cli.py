@@ -37,6 +37,10 @@ EX_UNKNOWN = 3
 # and banded_coloring rejects a negative `construct --d` itself
 LEAST = {"n": 1, "n_min": 1, "colors": 1, "width": 1, "stripe": 1, "period": 1,
          "max_period": 1, "k": 1, "nodes": 0, "v": 3, "r": 0}
+# the most of each integer option that sizes arrays, so that T_n's point
+# count n(n+1)/2 and the C(v, 2) pairs of a triple system fit in int64;
+# `count` without --brute uses closed forms and takes any n
+MOST = {"n": (1 << 32) - 1, "v": 1 << 32}
 # the most colors a certificate may declare, and the most DIMACS variables
 # (points x colors) that common SAT solvers read
 MAX_COLORS = _CLAMP
@@ -127,12 +131,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    region = TriangleRegion(args.n)
-    if args.sat_cmd:
-        out = solver.decide_k_colorable_external(region, args.colors, args.sat_cmd,
-                                                 timeout=args.timeout)
-    else:
-        out = solver.decide_k_colorable(region, args.colors, _budget(args))
+    out = solver.decide_k_colorable(TriangleRegion(args.n), args.colors, _budget(args), args.sat_cmd)
     st = out.stats
     print(f"c nodes {st.nodes} elapsed {st.elapsed:.3f}s build {st.build_s:.3f}s depth {st.max_depth}")
     if out.status == solver.SAT:
@@ -149,14 +148,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_f(args) -> int:
-    chevron = constructions.chevron_coloring(args.n)
-    res = solver.compute_f(args.n, _budget(args),
-                           upper_bound=color_count(chevron),
-                           upper_coloring=chevron,
-                           sat_cmd=args.sat_cmd or None)
+    res = solver.compute_f(args.n, _budget(args), args.sat_cmd)
     if res.exact is not None:
         print(f"f({args.n}) = {res.exact}")
-        if args.output and res.coloring is not None:
+        if args.output:
             Path(args.output).write_text(write_certificate(res.coloring))
         return 0
     print(f"f({args.n}) in [{res.lo}, {res.hi}]")
@@ -174,7 +169,7 @@ def cmd_construct(args) -> int:
             if block is None:
                 return EX_MALFORMED
         else:
-            out = solver.solve_periodic_stripe(args.width, 4, 4, _budget(args))
+            out = solver.decide_k_colorable(PeriodicStripe(args.width, 4), 4, _budget(args))
             if out.status != solver.SAT:
                 print(f"no base block found for the {args.width}-row stripe", file=sys.stderr)
                 return EX_UNKNOWN
@@ -224,7 +219,7 @@ def cmd_import_solution(args) -> int:
 def cmd_stripe(args) -> int:
     periods = [args.period] if args.period else range(1, args.max_period + 1)
     for p in periods:
-        out = solver.solve_periodic_stripe(args.k, p, args.colors, _budget(args))
+        out = solver.decide_k_colorable(PeriodicStripe(args.k, p), args.colors, _budget(args))
         print(f"c k={args.k} period={p}: {out.status}")
         if out.status == solver.SAT:
             _emit([write_certificate(out.coloring)], args.output)
@@ -425,6 +420,10 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
+        if args.command != "count" or args.brute:
+            for name, most in MOST.items():
+                if (getattr(args, name, None) or 0) > most:
+                    raise ValueError(f"--{name} must be at most {most}")
         if getattr(args, "colors", 0) > MAX_COLORS:
             raise ValueError("--colors must be at most 2**61")
         if getattr(args, "n_min", None) is None and hasattr(args, "n_min"):
@@ -444,7 +443,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EX_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as e:  # numpy refuses an instance's arrays up front
+        print(f"usage error: instance too large: {e or 'out of memory'}", file=sys.stderr)
+        return EX_USAGE
 
 
 if __name__ == "__main__":

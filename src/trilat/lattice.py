@@ -13,7 +13,7 @@ numpy, so dense per-point arrays can stand in for dicts keyed by point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -150,29 +150,15 @@ class PeriodicStripe:
 Region = TriangleRegion | StripeWindow | PeriodicStripe
 
 
-def symmetries(n: int) -> list[Callable[[LatticePoint], LatticePoint]]:
-    """The six maps of the dihedral symmetry group of T_n, identity first."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    m = n - 1
+def symmetries(n: int) -> np.ndarray:
+    """The dihedral symmetry group of T_n as a (6, N) int array, identity first.
 
-    def identity(p):
-        return LatticePoint(p[0], p[1])
-
-    def rot(p):
-        return LatticePoint(p[1], m - p[0] - p[1])
-
-    def rot2(p):
-        return LatticePoint(m - p[0] - p[1], p[0])
-
-    def refl(p):
-        return LatticePoint(m - p[0] - p[1], p[1])
-
-    def refl_rot(p):
-        return rot(refl(p))
-
-    def refl_rot2(p):
-        return rot2(refl(p))
-
-    return [identity, rot, rot2, refl, refl_rot, refl_rot2]
-
+    Row s maps the rank of each point to the rank of its image.  With the
+    barycentric coordinates (a, b, c = n - 1 - a - b) of a point, the images
+    are (a, b), (b, c), (c, a): the identity and the two rotations, then
+    (c, b), (b, a), (a, c): the three reflections.
+    """
+    region = TriangleRegion(n)
+    a, b = region.point_arrays()
+    c = n - 1 - a - b
+    return np.stack([region.rank(x, y) for x, y in ((a, b), (b, c), (c, a), (c, b), (b, a), (a, c))])

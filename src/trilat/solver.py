@@ -1,4 +1,9 @@
-"""Exact K-colorability search, periodic-stripe solving, and DIMACS plumbing.
+"""Exact K-colorability search, f(n) bounds, and DIMACS plumbing.
+
+`decide_k_colorable` answers every K-colorability question, for T_n, a stripe
+window or a periodic stripe, by the internal search or by an external SAT
+solver command; `compute_f` bounds f(n) by that call for K = 1, 2, ... up to
+the chevron coloring's color count.
 
 The internal solver is plain backtracking over a not-all-equal constraint
 system (triangles become ternary constraints; in periodic stripes a triangle
@@ -14,26 +19,30 @@ per-color bitsets of the variables whose domain still holds that color make
 a lowest-set-bit, instead of a scan over every variable at every node.
 
 Instances beyond the internal solver's reach can be exported as DIMACS CNF and
-handed to any SAT-competition-style solver via a subprocess command.
+handed to any SAT-competition-style solver via a subprocess command; a solver
+that outlives its time budget is killed with every process it started.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
 import time
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .coloring import Coloring, format_chunks, is_proper, stripe_span_bound
+from .coloring import Coloring, color_count, format_chunks, is_proper, stripe_span_bound
+from .constructions import chevron_coloring
 from .lattice import LatticePoint, PeriodicStripe, Region, StripeWindow, TriangleRegion
 from .triangles import triangle_ranks
 
@@ -65,11 +74,12 @@ class SolveOutcome:
     solver_stderr: str = ""  # external solver's error output, when it gave no verdict
 
 
-def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndarray]:
-    """The coloring constraints of a region: (points, ternary, binary).
+def constraints(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The coloring constraints of a region: (ternary, binary) rank rows.
 
-    Variables are point ranks in `points`, the region's points in (b, a) order
-    (for a periodic stripe, its fundamental domain; there rank = b * period + a).
+    Variables are point ranks, the places of the region's points in (b, a)
+    order (for a periodic stripe, its fundamental domain; there rank =
+    b * period + a), so there are `region.size()` of them.
     A ternary row (i, j, k) is a triangle that must not be monochromatic, a
     binary row (i, j) requires different colors.  A finite region has one
     ternary row per triangle in enumeration order and no binary rows.  A
@@ -80,7 +90,7 @@ def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndar
     vertices in one row.  Periodic rows are sorted and deduplicated.
     """
     if not isinstance(region, PeriodicStripe):
-        return list(region.points()), triangle_ranks(region), np.empty((0, 2), dtype=np.int64)
+        return triangle_ranks(region), np.empty((0, 2), dtype=np.int64)
     k, period = region.k, region.period
     width = period + stripe_span_bound(k)
     cell = np.arange(k)[:, None] * period + np.arange(width) % period
@@ -88,42 +98,17 @@ def constraints(region: Region) -> tuple[list[LatticePoint], np.ndarray, np.ndar
     distinct = (cells[:, 0] != cells[:, 1]) & (cells[:, 1] != cells[:, 2])
     ternary = np.unique(cells[distinct], axis=0).reshape(-1, 3)
     binary = np.unique(cells[~distinct][:, [0, 2]], axis=0).reshape(-1, 2)
-    return list(region.fundamental_domain()), ternary, binary
+    return ternary, binary
 
 
-class _RowIds(Sequence):
-    """row_ids of `constraint_lists`, built on first read from the entries'
-    places in the (v, u, w) entry list, so a caller that never reads them
-    builds no row-id lists."""
-
-    def __init__(self, entries: np.ndarray, ends: list[int], ternary_rows: int):
-        self._entries = entries  # entry numbers, by variable
-        self._ends = ends
-        self._t = ternary_rows
-
-    @cached_property
-    def _lists(self) -> list[list[int]]:
-        entry, t = self._entries, self._t
-        # a ternary row has three entries, then each binary row has two
-        ids = np.where(entry < 3 * t, entry // 3, t + (entry - 3 * t) // 2).tolist()
-        return [ids[s:e] for s, e in zip([0] + self._ends[:-1], self._ends)]
-
-    def __len__(self):
-        return len(self._ends)
-
-    def __getitem__(self, v: int) -> list[int]:
-        return self._lists[v]
-
-
-def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> tuple[list, Sequence]:
-    """Per-variable constraint lists of n variables: (partners, row_ids).
+def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Per-variable constraint lists of n variables: partners[v].
 
     partners[v] holds one (u, w) per constraint row on v: once two of v, u, w
     share a color, the third must avoid it.  A ternary row (i, j, k) gives
     (j, k), (i, k) and (i, j); a binary row (i, j) acts as (i, i, j), giving
-    (i, j) to i and (j, i) to j.  row_ids[v] holds each entry's row id, the
-    ternary rows numbered first and then the binary rows; every list is in
-    row order.  The row ids are a read-only view, built when first read.
+    (i, j) to i and (j, i) to j.  Every list holds the ternary rows first and
+    then the binary rows, each in row order.
     """
     # (v, u, w) once per variable of each row, rows in order
     vuw = np.concatenate([ternary[:, [0, 1, 2, 1, 0, 2, 2, 0, 1]].reshape(-1, 3),
@@ -131,9 +116,8 @@ def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> tuple[l
     order = np.argsort(vuw[:, 0], kind="stable")
     ends = np.cumsum(np.bincount(vuw[:, 0], minlength=n)).tolist()
     pairs = list(zip(vuw[order, 1].tolist(), vuw[order, 2].tolist()))
-    del vuw
-    partners = [pairs[s:e] for s, e in zip([0] + ends[:-1], ends)]
-    return partners, _RowIds(order, ends, len(ternary))
+    del vuw, order
+    return [pairs[s:e] for s, e in zip([0] + ends[:-1], ends)]
 
 
 def _fewest_colors(ds: list[int], candidates: int) -> int:
@@ -154,11 +138,16 @@ def _fewest_colors(ds: list[int], candidates: int) -> int:
     return candidates
 
 
-def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> SolveOutcome:
+def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
+                       sat_cmd: Optional[str] = None) -> SolveOutcome:
     """Exact K-colorability of T_n, a stripe window or a periodic stripe.
 
     A periodic stripe's SAT payload is a base block, a coloring of its
-    fundamental domain.  The search is one loop over an explicit stack with a
+    fundamental domain.  With a `sat_cmd`, the external solver decides, under
+    `budget.max_seconds` as its timeout (the node budget is the internal
+    search's); otherwise the internal search does.
+
+    The internal search is one loop over an explicit stack with a
     frame per assigned variable: [variable, its untried color bits, the
     largest color used above it, the variables its color was removed from,
     D[color] before that removal].
@@ -178,15 +167,17 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
     """
     if K < 1:
         raise ValueError("K must be positive")
+    if sat_cmd:
+        return _decide_external(region, K, sat_cmd, budget.max_seconds)
     stats = SolveStats()
     start = time.monotonic()
-    pts, ternary, binary = constraints(region)
-    n = len(pts)
+    ternary, binary = constraints(region)
+    n = region.size()
     degree = np.bincount(ternary.ravel(), minlength=n) + np.bincount(binary.ravel(), minlength=n)
     order = np.argsort(-degree, kind="stable")  # search index -> rank
     index = np.empty(n, dtype=np.int64)         # rank -> search index
     index[order] = np.arange(n)
-    partners = constraint_lists(n, index[ternary], index[binary])[0]
+    partners = constraint_lists(n, index[ternary], index[binary])
     bits = [1 << v for v in range(n)]
     # the color cap below is at most n while a variable is uncolored, so no
     # color from n on is ever tried
@@ -288,7 +279,8 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget()) -> Sol
 
 
 def solve_periodic_stripe(k: int, period: int, K: int, budget: Budget = Budget()) -> SolveOutcome:
-    """Existence of a period-p K-coloring of the k-row stripe; SAT payload is a base block."""
+    """`decide_k_colorable` on the k-row stripe of period `period`; perfbench/
+    calls and traces it by this name."""
     return decide_k_colorable(PeriodicStripe(k, period), K, budget)
 
 
@@ -296,8 +288,8 @@ def solve_periodic_stripe(k: int, period: int, K: int, budget: Budget = Budget()
 class FResult:
     n: int
     lo: int  # smallest K not proven uncolorable
-    hi: Optional[int]  # best proven upper bound (SAT or imported), None if unknown
-    coloring: Optional[Coloring] = None
+    hi: int  # best proven upper bound: the K found SAT, or the chevron coloring's count
+    coloring: Coloring  # a proper coloring with at most hi colors
     solver_stderr: str = ""  # external solver's error output, when it gave no verdict
 
     @property
@@ -305,31 +297,24 @@ class FResult:
         return self.lo if self.hi == self.lo else None
 
 
-def compute_f(n: int, budget: Budget = Budget(),
-              upper_bound: Optional[int] = None,
-              upper_coloring: Optional[Coloring] = None,
-              sat_cmd: Optional[str] = None) -> FResult:
-    """Iterate K upward until SAT; exact when every smaller K was refuted.
+def compute_f(n: int, budget: Budget = Budget(), sat_cmd: Optional[str] = None) -> FResult:
+    """Decide K = 1, 2, ... until SAT; exact when every smaller K was refuted.
 
-    upper_bound/upper_coloring import an externally established bound (for
-    instance from an explicit construction) used when the search hits its
-    budget before a definite verdict.
+    The chevron coloring bounds K: the search stops at its color count, and
+    when a K gives no verdict the chevron coloring is the upper bound.  Only a
+    wrong external UNSAT can refute every K up to that count; the result is
+    then the empty interval [count + 1, count].
     """
     region = TriangleRegion(n)
-    hi = upper_bound
-    K = 1
-    while hi is None or K <= hi:
-        if sat_cmd is not None:
-            outcome = decide_k_colorable_external(region, K, sat_cmd)
-        else:
-            outcome = decide_k_colorable(region, K, budget)
+    chevron = chevron_coloring(n)
+    hi = color_count(chevron)
+    for K in range(1, hi + 1):
+        outcome = decide_k_colorable(region, K, budget, sat_cmd)
         if outcome.status == SAT:
             return FResult(n, lo=K, hi=K, coloring=outcome.coloring)
         if outcome.status == UNKNOWN:
-            return FResult(n, lo=K, hi=hi, coloring=upper_coloring,
-                           solver_stderr=outcome.solver_stderr)
-        K += 1
-    return FResult(n, lo=K, hi=hi, coloring=upper_coloring)
+            return FResult(n, lo=K, hi=hi, coloring=chevron, solver_stderr=outcome.solver_stderr)
+    return FResult(n, lo=hi + 1, hi=hi, coloring=chevron)
 
 
 # -- DIMACS export / import ---------------------------------------------------
@@ -396,13 +381,14 @@ def export_dimacs(region: Region, K: int) -> CnfInstance:
     a monochromatic triple in the projected colors would falsify that row's
     clause.
     """
-    pts, ternary, binary = constraints(region)
-    n = len(pts)
+    ternary, binary = constraints(region)
+    n = region.size()
     colors = np.arange(1, K + 1)[:, None]
     blocks = (np.arange(1, n * K + 1).reshape(n, K),
               *((-K * rows[:, None, :] - colors).reshape(-1, rows.shape[1])
                 for rows in (ternary, binary)))
-    return CnfInstance(n * K, blocks, pts, K, region)
+    a, b = region.point_arrays()
+    return CnfInstance(n * K, blocks, list(map(LatticePoint, a.tolist(), b.tolist())), K, region)
 
 
 def import_assignment(cnf: CnfInstance, assignment_text: str) -> Coloring:
@@ -448,26 +434,35 @@ def run_sat_command(sat_cmd: str, dimacs: Iterable[str],
 
     Returns (status, model_text, stderr): status per the s-line, model_text
     the concatenated v-lines, stderr the solver's error output.  The command
-    is invoked as `<sat_cmd> <cnf-file>`.  A solver that cannot be started or
-    that outlives `timeout` seconds gives UNKNOWN, with the reason prepended
-    to stderr.
+    is invoked as `<sat_cmd> <cnf-file>` in a session of its own.  A solver
+    that cannot be started or that outlives `timeout` seconds gives UNKNOWN,
+    with the reason prepended to stderr; on a timeout its whole process group
+    is killed, so no process it started keeps running.
     """
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
         f.writelines(dimacs)
         path = f.name
     try:
-        proc = subprocess.run(shlex.split(sat_cmd) + [path],
-                              capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.Popen(shlex.split(sat_cmd) + [path], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
     except (OSError, ValueError) as e:  # missing or unrunnable command, bad quoting
+        Path(path).unlink(missing_ok=True)
         return UNKNOWN, "", f"cannot run solver {sat_cmd!r}: {e}"
-    except subprocess.TimeoutExpired as e:
-        err = e.stderr.decode(errors="replace") if isinstance(e.stderr, bytes) else e.stderr
-        return UNKNOWN, "", f"solver timed out after {timeout}s\n{err or ''}".strip()
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout)
+    except BaseException as e:  # a timeout, or an interrupt the solver's own session
+        # does not see: leave no solver process behind
+        with suppress(ProcessLookupError):  # the group is already gone
+            os.killpg(proc.pid, signal.SIGKILL)
+        err = proc.communicate()[1]  # what it wrote before the kill
+        if not isinstance(e, subprocess.TimeoutExpired):
+            raise
+        return UNKNOWN, "", f"solver timed out after {timeout}s\n{err}".strip()
     finally:
         Path(path).unlink(missing_ok=True)
     status = UNKNOWN
     model_lines = []
-    for line in proc.stdout.splitlines():
+    for line in stdout.splitlines():
         if line.startswith("s "):
             verdict = line[2:].strip().upper()
             if verdict.startswith("SAT"):
@@ -476,13 +471,13 @@ def run_sat_command(sat_cmd: str, dimacs: Iterable[str],
                 status = UNSAT
         elif line.startswith("v ") or line.strip() == "v":
             model_lines.append(line)
-    return status, "\n".join(model_lines), proc.stderr
+    return status, "\n".join(model_lines), stderr
 
 
-def decide_k_colorable_external(region: Region, K: int, sat_cmd: str,
-                                timeout: Optional[float] = None) -> SolveOutcome:
-    """K-colorability by an external SAT solver; `build_s` is the export and
-    writing its DIMACS text, `elapsed` the solver run."""
+def _decide_external(region: Region, K: int, sat_cmd: str,
+                     timeout: Optional[float]) -> SolveOutcome:
+    """`decide_k_colorable` by an external SAT solver; `build_s` is the export
+    and writing its DIMACS text, `elapsed` the solver run."""
     stats = SolveStats()
     start = time.monotonic()
     cnf = export_dimacs(region, K)
@@ -514,12 +509,16 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
     bound regardless of the heuristic nature of the search.
     """
     rng = random.Random(seed)
-    pts, ternary, binary = constraints(region)
-    n = len(pts)
-    partners, groups_of = constraint_lists(n, ternary, binary)
+    ternary, binary = constraints(region)
+    n = region.size()
+    partners = constraint_lists(n, ternary, binary)
     # each row's vertices by row id, for the monochromatic test and the draw
     # of the vertex to move; a binary row (i, j) is (i, j, j) here
     groups = np.concatenate([ternary, binary[:, [0, 1, 1]]]).tolist()
+    groups_of = [[] for _ in range(n)]  # the ids of the rows on each variable, in row order
+    for g, row in enumerate(groups):
+        for v in set(row):
+            groups_of[v].append(g)
 
     for _ in range(max(1, restarts)):
         colors = [rng.randrange(K) for _ in range(n)]

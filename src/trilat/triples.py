@@ -22,7 +22,7 @@ import numpy as np
 
 from .coloring import format_rows
 from .lattice import TriangleRegion
-from .solver import constraints
+from .triangles import triangle_ranks
 
 HEADER = "trilat-triples v1"
 
@@ -85,8 +85,8 @@ def is_modified_sts(ts: TripleSystem) -> int | None:
 
 def triangle_system(n: int) -> TripleSystem:
     """The equilateral triangles of T_n as triples on its points (1-indexed canonically)."""
-    pts, ternary, _ = constraints(TriangleRegion(n))
-    return TripleSystem(len(pts), ternary + 1)
+    region = TriangleRegion(n)
+    return TripleSystem(region.size(), triangle_ranks(region) + 1)
 
 
 def search_modified_sts(v: int, r: int, max_nodes: int = 5_000_000):

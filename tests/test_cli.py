@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from trilat.triples import write_triples
 
 SATSTUB = f"{sys.executable} {Path(__file__).with_name('satstub.py')}"
 CERT_DIR = Path(__file__).resolve().parent.parent / "certificates"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -152,6 +156,76 @@ def test_f_budget_interval(capsys):
     code, out, _ = run(capsys, "f", "--n", "11", "--nodes", "5")
     assert code == 3
     assert "f(11) in [" in out
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    *[(("--n", str(n)), 0, f"f({n}) = {f}")
+      for n, f in [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (6, 3), (7, 3), (8, 3), (9, 4)]],
+    (("--n", "9", "--nodes", "5"), 3, "f(9) in [2, 5]"),
+    (("--n", "13", "--nodes", "1000"), 3, "f(13) in [3, 7]"),
+], ids=[*[f"n{n}" for n in range(1, 10)], "n9-nodes5", "n13-nodes1000"])
+def test_f_output_pinned(capsys, argv, code, line):
+    assert run(capsys, "f", *argv)[:2] == (code, line + "\n")
+
+
+def test_f_every_k_refuted_by_external(capsys, tmp_path):
+    # a solver that wrongly refutes every K up to the chevron's 3 colors
+    liar = tmp_path / "unsat.py"
+    liar.write_text("print('s UNSATISFIABLE')\n")
+    code, out, _ = run(capsys, "f", "--n", "4", "--sat-cmd", f"{sys.executable} {liar}")
+    assert (code, out) == (3, "f(4) in [4, 3]\n")
+
+
+def _trilat(*argv, timeout, limit_bytes=None):
+    """`trilat` in a subprocess with src/ on its path, optionally under an
+    address-space limit of its own."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run([sys.executable, "-m", "trilat.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=limit if limit_bytes else None)
+
+
+def test_f_external_timeout(tmp_path):
+    # every K's external run must stop at --timeout; a hung solver is UNKNOWN
+    sleeper = tmp_path / "sleeper.py"
+    sleeper.write_text("import time\ntime.sleep(30)\n")
+    proc = _trilat("f", "--n", "4", "--sat-cmd", f"{sys.executable} {sleeper}",
+                   "--timeout", "1", timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "f(4) in [1, 3]\n")
+    assert "solver timed out" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,fault", [
+    (("f", "--n", str(10 ** 20)), "--n must be at most 4294967295"),
+    (("classify", "--n", "99999999999"), "--n must be at most 4294967295"),
+    (("triples", "search", "--v", str(10 ** 23 - 1), "--r", "0"), "--v must be at most 4294967296"),
+], ids=["f-1e20", "classify-1e11", "triples-1e23"])
+def test_array_sizes_are_usage_errors(capsys, argv, fault):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err == f"usage error: {fault}\n"
+
+
+def test_count_closed_forms_take_any_n(capsys):
+    code, out, _ = run(capsys, "count", "--n", str(10 ** 20))
+    assert code == 0 and out.splitlines()[1].startswith(f"{10 ** 20}\t")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--n", "99999999999", "--colors", "3"),
+    ("solve", "--n", "100000000", "--colors", "3"),  # 35 PiB of point coordinates
+    ("export-dimacs", "--n", "3", "--colors", "357913941"),  # 16 GiB of clauses
+], ids=["solve-1e11", "solve-1e8", "export-2**31-2-vars"])
+def test_instances_too_large_for_memory(argv):
+    # under 2 GiB of address space, an instance whose arrays cannot fit must be
+    # refused up front, not fill memory or end in a traceback
+    proc = _trilat(*argv, timeout=60, limit_bytes=2 << 30)
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
 
 
 def test_construct_chevron_and_verify(capsys, tmp_path):

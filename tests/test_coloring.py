@@ -96,9 +96,10 @@ def test_properness_invariant_under_color_permutation_and_symmetry():
         perm = list(range(k))
         rng.shuffle(perm)
         assert is_proper(Coloring(region, [perm[c] for c in colors], k))[0] == verdict
-        for f in symmetries(n):
-            mapped = dict(zip(map(f, pts), colors))
-            assert is_proper(Coloring(region, [mapped[p] for p in pts], k))[0] == verdict
+        for sym in symmetries(n):
+            moved = np.empty(len(colors), dtype=np.int64)
+            moved[sym] = colors  # each point's image takes its color
+            assert is_proper(Coloring(region, moved, k))[0] == verdict
 
 
 def test_stripe_window_checker():

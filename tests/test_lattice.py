@@ -65,24 +65,35 @@ def test_norm_zero_iff_equal(p):
 
 
 def test_symmetry_examples():
-    maps = symmetries(4)
-    assert maps[1]((0, 0)) == (0, 3)  # rotation: corner to corner
-    assert maps[3]((0, 0)) == (3, 0)  # reflection: corner swap
+    region = TriangleRegion(4)
+    perms = symmetries(4)
+    corner = region.rank(0, 0)
+    assert perms[0][corner] == corner
+    assert perms[1][corner] == region.rank(0, 3)  # rotation: corner to corner
+    assert perms[3][corner] == region.rank(3, 0)  # reflection: corner swap
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_symmetries_permute_region(n):
-    pts = set(TriangleRegion(n).points())
-    for f in symmetries(n):
-        assert {f(p) for p in pts} == pts
+    perms = symmetries(n)
+    size = TriangleRegion(n).size()
+    assert perms.shape == (6, size) and perms.dtype == np.int64
+    assert (np.sort(perms, axis=1) == np.arange(size)).all()
+    assert (perms[0] == np.arange(size)).all()
+    # closed under composition, and six distinct maps once T_n has a corner to move
+    maps = {tuple(p) for p in perms.tolist()}
+    assert {tuple(p[q].tolist()) for p in perms for q in perms} == maps
+    assert len(maps) == (6 if n > 1 else 1)
 
 
 def test_symmetries_preserve_distances():
-    pts = list(TriangleRegion(5).points())
-    for f in symmetries(5):
-        for p in pts:
-            for q in pts:
-                assert norm(f(p) - f(q)) == norm(p - q)
+    a, b = TriangleRegion(5).point_arrays()
+
+    def distances(a, b):
+        return norm((a[:, None] - a[None, :], b[:, None] - b[None, :]))
+
+    for perm in symmetries(5):
+        assert (distances(a[perm], b[perm]) == distances(a, b)).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 50, 100])

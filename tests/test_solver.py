@@ -1,8 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
 import shlex
+import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,9 +19,9 @@ from trilat.solver import (
     Budget,
     _fewest_colors,
     compute_f,
+    constraint_lists,
     constraints,
     decide_k_colorable,
-    decide_k_colorable_external,
     export_dimacs,
     import_assignment,
     local_search_coloring,
@@ -49,6 +52,11 @@ def test_small_f_values(n, expected):
 def test_f_monotone_on_proven_values():
     values = [compute_f(n).exact for n in range(1, 9)]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_compute_f_external_agrees(n):
+    assert compute_f(n, sat_cmd=SATSTUB).exact == compute_f(n).exact
 
 
 def test_sat_payload_always_checked():
@@ -130,9 +138,18 @@ def test_budget_exhaustion_reports_unknown():
 
 
 def test_compute_f_degrades_to_interval():
-    res = compute_f(9, Budget(max_nodes=5), upper_bound=5)
+    res = compute_f(9, Budget(max_nodes=5))
     assert res.exact is None
     assert res.lo >= 1 and res.hi == 5
+    assert color_count(res.coloring) == 5  # the chevron coloring
+
+
+def test_compute_f_every_k_refuted(tmp_path):
+    # only a wrong external UNSAT refutes the chevron's count: an empty interval
+    liar = tmp_path / "unsat.py"
+    liar.write_text("print('s UNSATISFIABLE')\n")
+    res = compute_f(4, sat_cmd=f"{sys.executable} {liar}")
+    assert (res.lo, res.hi, res.exact) == (4, 3, None)
 
 
 def test_dimacs_t4_k2_shape():
@@ -169,8 +186,8 @@ def reference_clauses(region, k):
     """The export's clauses built one at a time: a point's at-least-one clause
     in rank order, then one forbid clause per constraint row and color, colors
     innermost."""
-    pts, ternary, binary = constraints(region)
-    clauses = [[rank * k + c + 1 for c in range(k)] for rank in range(len(pts))]
+    ternary, binary = constraints(region)
+    clauses = [[rank * k + c + 1 for c in range(k)] for rank in range(region.size())]
     for rows in (ternary, binary):
         for row in rows.tolist():
             for c in range(k):
@@ -196,7 +213,29 @@ def test_clauses_match_reference(region, k):
 
 
 def test_stripe_s3p2_has_binary_rows():
-    assert len(constraints(PeriodicStripe(3, 2))[2]) > 0
+    assert len(constraints(PeriodicStripe(3, 2))[1]) > 0
+
+
+@pytest.mark.parametrize("region,sha", [
+    (TriangleRegion(9), "02e3dd8854d5b943"),
+    (TriangleRegion(20), "5ec8f71f6c99e253"),
+    (PeriodicStripe(6, 12), "63d69992f4979609"),
+], ids=["T9", "T20", "S6p12"])
+def test_constraint_lists_pinned(region, sha):
+    """The partner lists, against a loop over the rows in order (ternary, then
+    binary as (i, i, j)) and against a sha256 prefix of their repr."""
+    ternary, binary = constraints(region)
+    partners = constraint_lists(region.size(), ternary, binary)
+    expected = [[] for _ in range(region.size())]
+    for i, j, k in ternary.tolist():
+        expected[i].append((j, k))
+        expected[j].append((i, k))
+        expected[k].append((i, j))
+    for i, j in binary.tolist():
+        expected[i].append((i, j))
+        expected[j].append((j, i))
+    assert partners == expected
+    assert hashlib.sha256(repr(partners).encode()).hexdigest()[:16] == sha
 
 
 def test_var_mapping():
@@ -242,24 +281,24 @@ def test_zero_budget_unknown():
 
 
 def test_external_stats_recorded():
-    out = decide_k_colorable_external(TriangleRegion(6), 3, SATSTUB)
+    out = decide_k_colorable(TriangleRegion(6), 3, sat_cmd=SATSTUB)
     assert out.status == SAT
     assert out.stats.build_s > 0  # export and DIMACS text
     assert out.stats.elapsed > 0  # the solver subprocess
 
 
 def test_external_sat_roundtrip():
-    out = decide_k_colorable_external(TriangleRegion(4), 3, SATSTUB)
+    out = decide_k_colorable(TriangleRegion(4), 3, sat_cmd=SATSTUB)
     assert out.status == SAT
     assert is_proper(out.coloring)[0]
-    assert decide_k_colorable_external(TriangleRegion(4), 2, SATSTUB).status == UNSAT
+    assert decide_k_colorable(TriangleRegion(4), 2, sat_cmd=SATSTUB).status == UNSAT
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("k", range(1, 5))
 def test_internal_and_external_agree(n, k):
     internal = decide_k_colorable(TriangleRegion(n), k).status
-    external = decide_k_colorable_external(TriangleRegion(n), k, SATSTUB).status
+    external = decide_k_colorable(TriangleRegion(n), k, sat_cmd=SATSTUB).status
     assert internal == external
 
 
@@ -295,6 +334,35 @@ def test_run_sat_command_timeout():
     assert (status, model) == (UNKNOWN, "")
     assert "timed out after 0.5s" in stderr
     assert "still thinking" in stderr
+
+
+def _gone(pid):
+    """Whether a process has exited: no such pid, or a zombie waiting to be reaped."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_run_sat_command_timeout_kills_children(tmp_path):
+    # a "solver" that starts a sleeping child, says where it is, and sleeps too
+    pid_file = tmp_path / "child.pid"
+    forker = tmp_path / "forker.py"
+    forker.write_text("import subprocess, sys, time\n"
+                      "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(30)'])\n"
+                      f"open({str(pid_file)!r}, 'w').write(str(child.pid))\n"
+                      "time.sleep(30)\n")
+    status, _, stderr = run_sat_command(f"{sys.executable} {forker}", ["p cnf 0 0\n"], timeout=1)
+    assert status == UNKNOWN and "timed out" in stderr
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 1
+        while not _gone(pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _gone(pid), "the solver's child outlived the timeout"
+    finally:
+        if not _gone(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_periodic_tiny_agrees_with_exhaustive():
