@@ -25,7 +25,7 @@ from .coloring import (
     read_certificate,
     write_certificate,
 )
-from .lattice import LatticePoint, PeriodicStripe, TriangleRegion
+from .lattice import PeriodicStripe, TriangleRegion, points
 from .triangles import classify_pairs, triangle_ranks
 
 EX_USAGE = 64
@@ -37,14 +37,18 @@ EX_UNKNOWN = 3
 # and banded_coloring rejects a negative `construct --d` itself
 LEAST = {"n": 1, "n_min": 1, "colors": 1, "width": 1, "stripe": 1, "period": 1,
          "max_period": 1, "k": 1, "nodes": 0, "v": 3, "r": 0}
-# the most of each integer option that sizes arrays, so that T_n's point
-# count n(n+1)/2 and the C(v, 2) pairs of a triple system fit in int64;
-# `count` without --brute uses closed forms and takes any n
-MOST = {"n": (1 << 32) - 1, "v": 1 << 32}
+# the most of each integer option that sizes arrays: T_n's n(n+1)/2 points,
+# the C(v, 2) pairs of a triple system, the spacer's colors and the
+# k (period + 1.16 k) points of a stripe window fit int64 sizes; `count`
+# without --brute uses closed forms and takes any n
+MOST = {"n": (1 << 32) - 1, "v": 1 << 32, "d": (1 << 32) - 1,
+        **dict.fromkeys(("k", "stripe", "width", "period", "max_period"), 1 << 28)}
 # the most colors a certificate may declare, and the most DIMACS variables
 # (points x colors) that common SAT solvers read
 MAX_COLORS = _CLAMP
 MAX_DIMACS_VARS = (1 << 31) - 1
+# the longest --timeout in seconds: an external solver is waited on in C-int milliseconds
+MAX_TIMEOUT = ((1 << 31) - 1) // 1000
 
 PALETTE = [
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231", "#911eb4",
@@ -96,10 +100,8 @@ def _read_certificate(path: str):
 
 
 def cmd_count(args) -> int:
-    rows = []
-    for n in range(args.n_min, args.n + 1):
-        rep = counting.report_brute(n) if args.brute else counting.report_closed(n)
-        rows.append(rep)
+    report = counting.report_brute if args.brute else counting.report_closed
+    rows = [report(n) for n in range(args.n_min, args.n + 1)]
     if args.format == "json":
         print(json.dumps([vars(r) for r in rows], indent=2))
     else:
@@ -258,11 +260,8 @@ def cmd_triples(args) -> int:
 def render_svg(col: Coloring, witness=None) -> str:
     """Deterministic SVG: one disc per point, fill keyed by color index."""
     scale = 24.0  # pixels per lattice unit
-    a, b = col.region.point_arrays()
-    pts = list(map(LatticePoint, a.tolist(), b.tolist()))
-    coords = {p: p.to_cartesian() for p in pts}
-    xs = [c[0] for c in coords.values()]
-    ys = [c[1] for c in coords.values()]
+    coords = [p.to_cartesian() for p in points(col.region)]
+    xs, ys = zip(*coords)
     pad = 1.0
     x0, y0 = min(xs) - pad, min(ys) - pad
     width = (max(xs) - min(xs) + 2 * pad) * scale
@@ -281,11 +280,9 @@ def render_svg(col: Coloring, witness=None) -> str:
         f'width="{width:.0f}" height="{height:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for p, color in zip(pts, col.colors.tolist()):
-        x, y = coords[p]
-        fill = _palette(color)
+    for (x, y), color in zip(coords, col.colors.tolist()):
         lines.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{scale * 0.35:.2f}" '
-                     f'fill="{fill}" stroke="black" stroke-width="1"/>')
+                     f'fill="{_palette(color)}" stroke="black" stroke-width="1"/>')
     if witness is not None:
         path = " ".join(
             f"{sx(v.to_cartesian()[0]):.2f},{sy(v.to_cartesian()[1]):.2f}"
@@ -423,9 +420,12 @@ def main(argv=None) -> int:
         if args.command != "count" or args.brute:
             for name, most in MOST.items():
                 if (getattr(args, name, None) or 0) > most:
-                    raise ValueError(f"--{name} must be at most {most}")
+                    raise ValueError(f"--{name.replace('_', '-')} must be at most {most}")
         if getattr(args, "colors", 0) > MAX_COLORS:
             raise ValueError("--colors must be at most 2**61")
+        timeout = getattr(args, "timeout", None)
+        if timeout is not None and not 0 <= timeout <= MAX_TIMEOUT:  # NaN compares false
+            raise ValueError(f"--timeout must be from 0 to {MAX_TIMEOUT} seconds")
         if getattr(args, "n_min", None) is None and hasattr(args, "n_min"):
             args.n_min = args.n
         if args.command in ("export-dimacs", "import-solution"):

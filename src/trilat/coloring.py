@@ -1,10 +1,10 @@
 """Colorings of lattice regions and the monochromatic-triangle checker.
 
 A coloring is a dense int array `colors` in the region's rank order: the
-(b, a) order of `region.points()`, or of `fundamental_domain()` for a periodic
-stripe (`Region.rank` maps coordinates to ranks).  It is proper when no three
-points forming an equilateral triangle (any orientation, any size) share a
-color.
+(b, a) order of `lattice.points(region)`, for a periodic stripe that of its
+fundamental domain (`Region.rank` maps coordinates to ranks).  It is proper
+when no three points forming an equilateral triangle (any orientation, any
+size) share a color.
 
 The checker scans the ordered pairs (p, q) of each color class and looks up
 the apex p + rot(q - p) of each, where rot(a, b) = (-b, a + b) turns a vector
@@ -32,9 +32,8 @@ so some edge goes up in rank and its pair i < j meets the triangle.  The first
 hit in class order (first appearance in rank order), then row-major pair
 order, is the witness; the triangle-scan oracle is in tests/oracles.py.
 
-Periodic stripe colorings are scanned on a finite window: any equilateral
-triangle with vertices in the k-row stripe has bounded horizontal extent, so a
-window of one period plus that bound holds a translate of every triangle.
+Periodic stripe colorings are scanned on `PeriodicStripe.window()`, which
+holds a translate of every triangle of the stripe.
 
 Certificate and DIMACS text.  Certificates, DIMACS clause blocks and `trilat
 enumerate` are written by one function, `format_chunks`, from a template such
@@ -55,7 +54,6 @@ pass that drops the 0 bytes leaves the text.  The table is built on first use
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from collections.abc import Mapping
@@ -65,29 +63,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .lattice import (
-    LatticePoint,
-    PeriodicStripe,
-    Region,
-    StripeWindow,
-    TriangleRegion,
-)
+# stripe_span_bound is unused here; perfbench/spans.py reads it as coloring.stripe_span_bound
+from .lattice import LatticePoint, PeriodicStripe, Region, TriangleRegion, points, stripe_span_bound
 from .triangles import EquilateralTriangle
 
 
 class CertificateError(ValueError):
     pass
-
-
-def stripe_span_bound(k: int) -> int:
-    """Max a-coordinate spread of an equilateral triangle inside a k-row stripe.
-
-    Any side has squared length at most (k-1)^2, and a lattice vector (da, db)
-    satisfies 3*da^2 <= 4*norm, so da <= 2(k-1)/sqrt(3).
-    """
-    if k == 1:
-        return 0
-    return math.isqrt(4 * (k - 1) ** 2 // 3)
 
 
 class _Assignment(Mapping):
@@ -107,8 +89,7 @@ class _Assignment(Mapping):
 
     @cached_property
     def _dict(self) -> dict[LatticePoint, int]:
-        a, b = self._region.point_arrays()
-        return dict(zip(map(LatticePoint, a.tolist(), b.tolist()), self._colors.tolist()))
+        return dict(zip(points(self._region), self._colors.tolist()))
 
     def __getitem__(self, p):
         return self._dict[p]
@@ -176,9 +157,7 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
     """
     region = c.region
     periodic = isinstance(region, PeriodicStripe)
-    scanned = (StripeWindow(region.k, 0, region.period - 1 + stripe_span_bound(region.k))
-               if periodic else region)
-    a, b = scanned.point_arrays()
+    a, b = (region.window() if periodic else region).point_arrays()
     if a.size < 3:
         return (True, None)
     b_min, b_max = int(b[0]), int(b[-1])  # rank order is (b, a)
@@ -449,12 +428,11 @@ def read_certificate(text: str) -> Coloring:
         lines = _point_lines(body)
         rows, malformed = _point_rows(lines)
     a, b, col = rows.T
-    if isinstance(region, PeriodicStripe):
-        where = "fundamental domain"
-        inside = (a >= 0) & (a < region.period) & (b >= 0) & (b < region.k)
-    else:
-        where = "region"
-        inside = (a >= 0) & (b >= 0) & (a + b < region.n)
+    periodic = isinstance(region, PeriodicStripe)
+    where = "fundamental domain" if periodic else "region"
+    inside = region.contains((a, b))  # a stripe's points also lie in 0 <= a < period
+    if periodic:
+        inside &= (a >= 0) & (a < region.period)
     # a repeated point: every occurrence after the first of its (a, b); lexsort is stable
     order = np.lexsort((a, b))
     same = (a[order][1:] == a[order][:-1]) & (b[order][1:] == b[order][:-1])

@@ -7,11 +7,15 @@ so no floating point ever enters a correctness argument.
 
 Each region orders its points by (b, a); a point's place in that order is its
 rank, and `point_arrays` / `rank` convert between ranks and coordinates with
-numpy, so dense per-point arrays can stand in for dicts keyed by point.
+numpy, so dense per-point arrays can stand in for dicts keyed by point;
+`points(region)` iterates that order as `LatticePoint`s.  A periodic stripe's
+points are its fundamental domain 0 <= a < period, and its `window()` holds a
+translate of every triangle of the stripe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -56,16 +60,11 @@ class TriangleRegion:
         a, b = p
         return (0 <= a) & (0 <= b) & (a + b <= self.n - 1)
 
-    def points(self) -> Iterator[LatticePoint]:
-        for b in range(self.n):
-            for a in range(self.n - b):
-                yield LatticePoint(a, b)
-
     def size(self) -> int:
         return self.n * (self.n + 1) // 2
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates a, b of `points()`, indexed by rank: row b holds n - b
+        """Coordinates a, b of the points, indexed by rank: row b holds n - b
         points, and a counts up from 0 along each row."""
         lengths = np.arange(self.n, 0, -1)
         b = np.repeat(np.arange(self.n), lengths)
@@ -94,16 +93,11 @@ class StripeWindow:
         a, b = p
         return (0 <= b) & (b <= self.k - 1) & (self.x_min <= a) & (a <= self.x_max)
 
-    def points(self) -> Iterator[LatticePoint]:
-        for b in range(self.k):
-            for a in range(self.x_min, self.x_max + 1):
-                yield LatticePoint(a, b)
-
     def size(self) -> int:
         return self.k * max(0, self.x_max - self.x_min + 1)
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates a, b of `points()`, indexed by rank."""
+        """Coordinates a, b of the points, indexed by rank."""
         b, a = np.indices((self.k, max(0, self.x_max - self.x_min + 1))).reshape(2, -1)
         return a + self.x_min, b
 
@@ -129,16 +123,11 @@ class PeriodicStripe:
         """
         return (0 <= p[1]) & (p[1] <= self.k - 1)
 
-    def fundamental_domain(self) -> Iterator[LatticePoint]:
-        for b in range(self.k):
-            for a in range(self.period):
-                yield LatticePoint(a, b)
-
     def size(self) -> int:
         return self.k * self.period
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates a, b of `fundamental_domain()`, indexed by rank."""
+        """Coordinates a, b of the fundamental domain, 0 <= a < period, indexed by rank."""
         b, a = np.indices((self.k, self.period)).reshape(2, -1)
         return a, b
 
@@ -146,8 +135,30 @@ class PeriodicStripe:
         """Rank of the cell of the points (a, b) of the stripe: a is taken mod the period."""
         return b * self.period + a % self.period
 
+    def window(self) -> StripeWindow:
+        """The stripe window a translate of every triangle of the stripe fits in:
+        one period plus `stripe_span_bound(k)` columns, from a = 0."""
+        return StripeWindow(self.k, 0, self.period - 1 + stripe_span_bound(self.k))
+
 
 Region = TriangleRegion | StripeWindow | PeriodicStripe
+
+
+def points(region: Region) -> Iterator[LatticePoint]:
+    """The points of a region (a periodic stripe's fundamental domain) in rank order."""
+    a, b = region.point_arrays()
+    return map(LatticePoint, a.tolist(), b.tolist())
+
+
+def stripe_span_bound(k: int) -> int:
+    """Max a-coordinate spread of an equilateral triangle inside a k-row stripe.
+
+    Any side has squared length at most (k-1)^2, and a lattice vector (da, db)
+    satisfies 3*da^2 <= 4*norm, so da <= 2(k-1)/sqrt(3).
+    """
+    if k == 1:
+        return 0
+    return math.isqrt(4 * (k - 1) ** 2 // 3)
 
 
 def symmetries(n: int) -> np.ndarray:

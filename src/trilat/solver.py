@@ -41,9 +41,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coloring import Coloring, color_count, format_chunks, is_proper, stripe_span_bound
+from .coloring import Coloring, color_count, format_chunks, is_proper
 from .constructions import chevron_coloring
-from .lattice import LatticePoint, PeriodicStripe, Region, StripeWindow, TriangleRegion
+from .lattice import LatticePoint, PeriodicStripe, Region, TriangleRegion, points
 from .triangles import triangle_ranks
 
 SAT = "SAT"
@@ -83,7 +83,7 @@ def constraints(region: Region) -> tuple[np.ndarray, np.ndarray]:
     A ternary row (i, j, k) is a triangle that must not be monochromatic, a
     binary row (i, j) requires different colors.  A finite region has one
     ternary row per triangle in enumeration order and no binary rows.  A
-    periodic stripe is read off a window that sees a translate of every
+    periodic stripe is read off its `window()`, which sees a translate of every
     triangle: a triangle whose vertices collapse to two cells modulo the period
     becomes a binary row.  None collapses to a single cell, which would be a
     contradiction: a cell fixes the row, and no triangle has all three
@@ -91,10 +91,8 @@ def constraints(region: Region) -> tuple[np.ndarray, np.ndarray]:
     """
     if not isinstance(region, PeriodicStripe):
         return triangle_ranks(region), np.empty((0, 2), dtype=np.int64)
-    k, period = region.k, region.period
-    width = period + stripe_span_bound(k)
-    cell = np.arange(k)[:, None] * period + np.arange(width) % period
-    cells = np.sort(cell.ravel()[triangle_ranks(StripeWindow(k, 0, width - 1))], axis=1)
+    window = region.window()
+    cells = np.sort(region.rank(*window.point_arrays())[triangle_ranks(window)], axis=1)
     distinct = (cells[:, 0] != cells[:, 1]) & (cells[:, 1] != cells[:, 2])
     ternary = np.unique(cells[distinct], axis=0).reshape(-1, 3)
     binary = np.unique(cells[~distinct][:, [0, 2]], axis=0).reshape(-1, 2)
@@ -345,11 +343,18 @@ class _Clauses(Sequence):
 
 @dataclass
 class CnfInstance:
-    num_vars: int
-    blocks: tuple[np.ndarray, ...]  # clause rows, one int array per clause width, in order
-    points: list[LatticePoint]
-    K: int
     region: Region
+    K: int
+    blocks: tuple[np.ndarray, ...]  # clause rows, one int array per clause width, in order
+
+    @property
+    def num_vars(self) -> int:
+        return self.region.size() * self.K
+
+    @property
+    def points(self) -> list[LatticePoint]:
+        """The region's points in rank order, the point of each variable row."""
+        return list(points(self.region))
 
     @property
     def clauses(self) -> Sequence[list[int]]:
@@ -387,8 +392,7 @@ def export_dimacs(region: Region, K: int) -> CnfInstance:
     blocks = (np.arange(1, n * K + 1).reshape(n, K),
               *((-K * rows[:, None, :] - colors).reshape(-1, rows.shape[1])
                 for rows in (ternary, binary)))
-    a, b = region.point_arrays()
-    return CnfInstance(n * K, blocks, list(map(LatticePoint, a.tolist(), b.tolist())), K, region)
+    return CnfInstance(region, K, blocks)
 
 
 def import_assignment(cnf: CnfInstance, assignment_text: str) -> Coloring:

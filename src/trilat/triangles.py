@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import LatticePoint, PeriodicStripe, Region, TriangleRegion
+from .lattice import LatticePoint, PeriodicStripe, Region, TriangleRegion, points
 
 
 @dataclass(frozen=True, order=True)
@@ -75,7 +75,7 @@ def _generate(region: Region, upright_only: bool) -> Iterator[tuple[np.ndarray, 
 def triangle_ranks(region: Region) -> np.ndarray:
     """Every equilateral triangle of a finite region, as a (T, 3) int array.
 
-    Entries are point ranks in the (b, a) order of `region.points()`; each row
+    Entries are point ranks in the (b, a) order of `points(region)`; each row
     is ascending (the canonical vertex order) and the rows follow the sorted
     order of the corresponding `EquilateralTriangle` objects.
     """
@@ -108,7 +108,7 @@ def _row_order(keys: np.ndarray) -> np.ndarray:
 def enumerate_triangles(region: Region) -> list[EquilateralTriangle]:
     """All equilateral triangles with vertices in a finite region, each exactly once, sorted."""
     ranks = triangle_ranks(region)
-    pts = np.fromiter(region.points(), dtype=object, count=region.size())
+    pts = np.fromiter(points(region), dtype=object, count=region.size())
     return list(map(EquilateralTriangle, *pts[ranks.T]))
 
 

@@ -15,7 +15,7 @@ form such a system with r = a2(n).  A system is a (T, 3) int64 array of points
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -101,7 +101,12 @@ def search_modified_sts(v: int, r: int, max_nodes: int = 5_000_000):
     if pairs_total % 3 or r > pairs_total:
         return "UNSAT"  # |triples| = C(v,2)/3 must be integral, and r <= C(v,2)
     target = pairs_total // 3
-    candidates = np.array(list(combinations(range(1, v + 1), 3)), dtype=np.int64)
+    # one allocation, so an instance beyond memory is a MemoryError up front
+    count = 3 * comb(v, 3)
+    if count > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{count} candidate entries do not fit one int64 array")
+    candidates = np.fromiter(chain.from_iterable(combinations(range(1, v + 1), 3)),
+                             dtype=np.int64, count=count).reshape(-1, 3)
     # pair (i, j), i < j, is number (i-1)(2v-i)/2 + j-i-1 in combinations order
     i, j = candidates[:, [0, 0, 1]], candidates[:, [1, 2, 2]]
     cand_pairs = ((i - 1) * (2 * v - i) // 2 + j - i - 1).tolist()

@@ -3,6 +3,9 @@
 Each is the simplest correct method for what it computes; no trilat command
 runs any of them, so they live with the tests.
 
+- Point order: nested loops over the rows b and, within a row, over a, the
+  reference for `lattice.points` and `point_arrays`; the oracles below
+  iterate points by it.
 - Pair walk: every pair of distinct points has exactly two apex completions
   (the rotations of one endpoint about the other by +-60 degrees).  Visiting
   all unordered pairs of region points and keeping the in-region apexes finds
@@ -24,12 +27,30 @@ no trilat command builds.
 
 import numpy as np
 
-from trilat.coloring import Coloring, is_proper, stripe_span_bound
+from trilat.coloring import Coloring, is_proper
 from trilat.constructions import ConstructionError
 from trilat.counting import a2_closed, h_closed, m_closed
-from trilat.lattice import LatticePoint, PeriodicStripe, StripeWindow, TriangleRegion
+from trilat.lattice import LatticePoint, PeriodicStripe, StripeWindow, TriangleRegion, stripe_span_bound
 from trilat.triangles import EquilateralTriangle, enumerate_triangles
 from trilat.triples import TripleSystem
+
+
+def loop_points(region):
+    """The points of a region, for a periodic stripe its fundamental domain
+    0 <= a < period, in (b, a) order, by nested loops."""
+    if isinstance(region, TriangleRegion):
+        rows = [range(region.n - b) for b in range(region.n)]
+    elif isinstance(region, StripeWindow):
+        rows = [range(region.x_min, region.x_max + 1)] * region.k
+    else:
+        rows = [range(region.period)] * region.k
+    return [LatticePoint(a, b) for b, row in enumerate(rows) for a in row]
+
+
+def _window(region):
+    """The stripe window a periodic stripe's coloring is checked on: one
+    period plus the widest triangle."""
+    return StripeWindow(region.k, 0, region.period - 1 + stripe_span_bound(region.k))
 
 
 def rotate60(p, direction):
@@ -52,7 +73,7 @@ def apex_candidates(p1, p2):
 
 def pair_walk_triangles(region):
     """All equilateral triangles of a finite region, deduplicated and sorted."""
-    pts = list(region.points())
+    pts = loop_points(region)
     found = set()
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
@@ -64,7 +85,7 @@ def pair_walk_triangles(region):
 
 def pair_walk_tallies(region):
     """(a0, a1, a2): point pairs by their number of in-region apex completions."""
-    pts = list(region.points())
+    pts = loop_points(region)
     tally = [0, 0, 0]
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
@@ -82,9 +103,7 @@ def is_proper_scan(c):
     stripes via an explicit window scan."""
     region = c.region
     if isinstance(region, PeriodicStripe):
-        span = stripe_span_bound(region.k)
-        window = StripeWindow(region.k, 0, region.period - 1 + span)
-        tris = enumerate_triangles(window)
+        tris = enumerate_triangles(_window(region))
 
         def color_of(p):
             return c.assignment[reduce(region, p)]
@@ -106,12 +125,12 @@ def is_proper_pairs(c):
     color gives the witness."""
     region = c.region
     if isinstance(region, PeriodicStripe):
-        pts = StripeWindow(region.k, 0, region.period - 1 + stripe_span_bound(region.k)).points()
+        pts = loop_points(_window(region))
 
         def color_of(p):
             return c.assignment[reduce(region, p)]
     else:
-        pts = region.points()
+        pts = loop_points(region)
         color_of = c.assignment.__getitem__
     classes = {}  # in order of first appearance
     for p in pts:
@@ -141,7 +160,7 @@ def h_brute(k, n):
 def _rhombi(k):
     """All 4-point rhombus vertex sets in T_k: a class-2 pair plus its two apexes."""
     region = TriangleRegion(k)
-    pts = list(region.points())
+    pts = loop_points(region)
     out = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

@@ -15,7 +15,7 @@ from trilat.coloring import Coloring, is_proper, read_certificate, write_certifi
 from trilat.constructions import banded_coloring, chevron_coloring
 from trilat.counting import report_closed
 from trilat.solver import decide_k_colorable
-from trilat.lattice import StripeWindow, TriangleRegion
+from trilat.lattice import StripeWindow, TriangleRegion, points
 from trilat.triples import write_triples
 
 SATSTUB = f"{sys.executable} {Path(__file__).with_name('satstub.py')}"
@@ -228,6 +228,28 @@ def test_instances_too_large_for_memory(argv):
     assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("stripe", "--k", "99999999999999999999", "--colors", "3", "--period", "1"),
+    ("stripe", "--k", "3", "--colors", "3", "--period", "99999999999999999999"),
+    ("stripe", "--k", "268435456", "--colors", "3", "--period", "1"),  # 2**28 rows
+    ("construct", "--scheme", "banded", "--n", "5", "--d", "99999999999999999999"),
+    ("construct", "--scheme", "banded", "--n", "5", "--width", "99999999999999999999"),
+    ("export-dimacs", "--stripe", "2147483647", "--period", "1", "--colors", "1"),
+    ("solve", "--n", "3", "--colors", "2", "--sat-cmd", SATSTUB, "--timeout", "nan"),
+    ("solve", "--n", "3", "--colors", "2", "--sat-cmd", SATSTUB, "--timeout", "inf"),
+    ("f", "--n", "4", "--timeout", "nan"),
+    ("f", "--n", "4", "--timeout", "-1"),
+    ("triples", "search", "--v", "99999", "--r", "0"),  # 1.7e14 candidate triples
+], ids=["stripe-k-1e20", "stripe-period-1e20", "stripe-k-2**28", "banded-d-1e20",
+        "banded-width-1e20", "export-stripe-2**31", "solve-timeout-nan", "solve-timeout-inf",
+        "f-timeout-nan", "f-timeout-negative", "triples-v-99999"])
+def test_size_and_timeout_options_are_usage_errors(argv):
+    # out of range, or too large for 2 GiB of address space: one usage line, no traceback
+    proc = _trilat(*argv, timeout=60, limit_bytes=2 << 30)
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
+
+
 def test_construct_chevron_and_verify(capsys, tmp_path):
     cert = tmp_path / "chev.cert"
     code, _, err = run(capsys, "construct", "--scheme", "chevron", "--n", "9",
@@ -395,7 +417,7 @@ def _window_coloring():
     w = StripeWindow(4, -3, 6)
     planted = set(_tri(-3, 0, 3, 1))
     return Coloring(w, [1 if p in planted else (p.a + 2 * p.b) % 3 if p.b < 2
-                        else (2 * p.a + p.b) % 4 for p in w.points()], 4)
+                        else (2 * p.a + p.b) % 4 for p in points(w)], 4)
 
 
 # Witnesses recorded from the checker before its grid rewrite: the first hit

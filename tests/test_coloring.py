@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import format_rows_by_percent, is_proper_pairs, is_proper_scan, reduce
+from oracles import format_rows_by_percent, is_proper_pairs, is_proper_scan, loop_points, reduce
 
 from trilat import coloring
 from trilat.coloring import (
@@ -18,7 +18,6 @@ from trilat.coloring import (
     color_count,
     is_proper,
     read_certificate,
-    stripe_span_bound,
     write_certificate,
 )
 from trilat.lattice import (
@@ -27,6 +26,8 @@ from trilat.lattice import (
     StripeWindow,
     TriangleRegion,
     norm,
+    points,
+    stripe_span_bound,
     symmetries,
 )
 from trilat.triangles import enumerate_triangles
@@ -70,7 +71,7 @@ def test_all_two_colorings_of_t4_improper():
 
 def test_mod3_coloring_agrees_with_scan():
     region = TriangleRegion(4)
-    c = Coloring(region, [(p.a + p.b) % 3 for p in region.points()], 3)
+    c = Coloring(region, [(p.a + p.b) % 3 for p in points(region)], 3)
     assert is_proper(c) == is_proper_scan(c)
 
 
@@ -88,7 +89,7 @@ def test_properness_invariant_under_color_permutation_and_symmetry():
     rng = random.Random(7)
     n = 7
     region = TriangleRegion(n)
-    pts = list(region.points())
+    pts = list(points(region))
     for _ in range(10):
         k = 4
         colors = [rng.randrange(k) for _ in pts]
@@ -106,7 +107,7 @@ def test_stripe_window_checker():
     w = StripeWindow(2, 0, 5)
     c = Coloring(w, [0] * w.size(), 1)
     assert not is_proper(c)[0]
-    c2 = Coloring(w, [(p.a + 2 * p.b) % 3 for p in w.points()], 3)
+    c2 = Coloring(w, [(p.a + 2 * p.b) % 3 for p in points(w)], 3)
     agrees_with_scan(c2)
     # negative and non-zero x_min move the window against the grid padding
     rng = random.Random(5)
@@ -143,7 +144,7 @@ def test_periodic_stripe_reduce():
     assert s.contains((123, 3))
     assert not s.contains((0, 4))
     assert reduce(s, (-1, 2)) == (4, 2)
-    assert len(list(s.fundamental_domain())) == 20
+    assert len(list(points(s))) == 20
 
 
 @pytest.mark.parametrize("num_colors", [1, 254, 255, 256, 70_000])
@@ -205,13 +206,13 @@ def test_span_bound_dominates_triangle_extent():
 def test_color_count():
     assert color_count(uniform(TriangleRegion(1))) == 1
     region = TriangleRegion(3)
-    c = Coloring(region, [2 * ((p.a + p.b) % 2) for p in region.points()], 3)
+    c = Coloring(region, [2 * ((p.a + p.b) % 2) for p in points(region)], 3)
     assert color_count(c) == 2  # gaps in the palette are not counted
 
 
 def test_certificate_roundtrip():
     region = TriangleRegion(4)
-    c = Coloring(region, [(p.a + p.b) % 3 for p in region.points()], 3)
+    c = Coloring(region, [(p.a + p.b) % 3 for p in points(region)], 3)
     text = write_certificate(c)
     assert write_certificate(read_certificate(text)) == text
     back = read_certificate(text)
@@ -221,14 +222,14 @@ def test_certificate_roundtrip():
 
 def test_certificate_stripe_roundtrip():
     s = PeriodicStripe(3, 2)
-    c = Coloring(s, [p.b for p in s.fundamental_domain()], 3)
+    c = Coloring(s, [p.b for p in points(s)], 3)
     text = write_certificate(c)
     assert write_certificate(read_certificate(text)) == text
 
 
 def test_certificate_comments_ignored():
     region = TriangleRegion(2)
-    c = Coloring(region, [0 if p.b else p.a for p in region.points()], 2)
+    c = Coloring(region, [0 if p.b else p.a for p in points(region)], 2)
     text = write_certificate(c)
     commented = text.replace("colors 2", "colors 2\n# a comment")
     assert read_certificate(commented).assignment == c.assignment
@@ -287,7 +288,7 @@ def read_both(text):
 ])
 def test_certificate_errors(mutate, message):
     region = TriangleRegion(4)
-    c = Coloring(region, [(p.a + p.b) % 3 for p in region.points()], 3)
+    c = Coloring(region, [(p.a + p.b) % 3 for p in points(region)], 3)
     text = write_certificate(c)
     with pytest.raises(CertificateError, match=message):
         read_certificate(mutate(text))
@@ -348,9 +349,8 @@ def test_parse_paths_agree_on_bad_rows():
 
 
 def test_canonical_body_skips_line_parser(monkeypatch):
-    texts = [write_certificate(Coloring(region, [(p.a + 2 * p.b) % 5 for p in points], 5))
-             for region, points in [(TriangleRegion(30), TriangleRegion(30).points()),
-                                    (PeriodicStripe(6, 7), PeriodicStripe(6, 7).fundamental_domain())]]
+    texts = [write_certificate(Coloring(region, [(p.a + 2 * p.b) % 5 for p in points(region)], 5))
+             for region in [TriangleRegion(30), PeriodicStripe(6, 7)]]
     expected = [read_certificate(text) for text in texts]
 
     def refuse(lines):
@@ -378,7 +378,7 @@ def test_parsed_prefix_is_not_a_body(monkeypatch):
         return real(text.split("#")[0], dtype=dtype, sep=sep)
 
     monkeypatch.setattr(coloring.np, "fromstring", prefix_only)
-    text = write_certificate(Coloring(TriangleRegion(4), [p.b % 3 for p in TriangleRegion(4).points()], 3))
+    text = write_certificate(Coloring(TriangleRegion(4), [p.b % 3 for p in points(TriangleRegion(4))], 3))
     with pytest.raises(CertificateError, match="outside region: '9 9 0'"):
         read_certificate(text + "# note\n9 9 0\n")
     assert read_certificate(text + "# note\n").colors.tolist() == read_certificate(text).colors.tolist()
@@ -388,7 +388,7 @@ def test_parsed_prefix_is_not_a_body(monkeypatch):
                                  "\x85", "\u2028", "\u2029"])
 def test_header_lines_end_as_splitlines(end):
     region = TriangleRegion(5)
-    c = Coloring(region, [(p.a - p.b) % 3 for p in region.points()], 3)
+    c = Coloring(region, [(p.a - p.b) % 3 for p in points(region)], 3)
     text = write_certificate(c)
     assert read_both(text.replace("\n", end)) == read_both(text)
     # blank and comment lines before the header, ended the same way
@@ -405,7 +405,7 @@ def test_assignment_view():
     region = TriangleRegion(3)
     c = Coloring(region, range(6), 6)
     assert len(c.assignment) == 6
-    assert list(c.assignment) == list(region.points())
+    assert list(c.assignment) == loop_points(region)
     assert c.assignment[(2, 0)] == 2 and c.assignment[LatticePoint(0, 2)] == 5
     assert c.assignment is c.assignment
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from trilat.constructions import (
     chevron_coloring,
     minimal_spacer,
 )
-from trilat.lattice import LatticePoint, PeriodicStripe, TriangleRegion
+from trilat.lattice import LatticePoint, PeriodicStripe, TriangleRegion, points
 from trilat.solver import SAT, decide_k_colorable, solve_periodic_stripe
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certificates"
@@ -149,7 +149,7 @@ def _banded_by_points(n, block, w, d, left_phase=0, right_phase=1):
     period, kb = block.region.period, block.num_colors
     m, c0 = n - 1, n - 1 - d // 2
     colors = []
-    for a, b in TriangleRegion(n).points():
+    for a, b in points(TriangleRegion(n)):
         x, j = 2 * a + b, n - 1 - a - b
         if c0 <= x < c0 + d:
             colors.append(x - c0)
@@ -174,7 +174,7 @@ def test_array_constructions_match_point_loops(block6, n, d, phases):
     assert col.num_colors == color_count(col)
     chevron = chevron_coloring(n, verify=False)
     assert chevron.colors.tolist() == [0 if 2 * a + b == n - 1 else 1 + min(a, n - 1 - a - b)
-                                       for a, b in TriangleRegion(n).points()]
+                                       for a, b in points(TriangleRegion(n))]
 
 
 @pytest.mark.parametrize("build,sha,colors", [

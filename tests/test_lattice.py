@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import rotate60
+from oracles import loop_points, rotate60
 
+from trilat import coloring
 from trilat.lattice import (
     LatticePoint,
     PeriodicStripe,
     StripeWindow,
     TriangleRegion,
     norm,
+    points,
+    stripe_span_bound,
     symmetries,
 )
 
 coords = st.integers(min_value=-200, max_value=200)
-points = st.builds(LatticePoint, coords, coords)
+lattice_points = st.builds(LatticePoint, coords, coords)
 
 
 def test_contains_examples():
@@ -48,17 +51,17 @@ def test_rotate60_direction_validation():
         rotate60((1, 0), 2)
 
 
-@given(points, points, st.sampled_from([1, -1]))
+@given(lattice_points, lattice_points, st.sampled_from([1, -1]))
 def test_rotation_preserves_norm(p, q, d):
     assert norm(rotate60(p, d) - rotate60(q, d)) == norm(p - q)
 
 
-@given(points, st.sampled_from([1, -1]))
+@given(lattice_points, st.sampled_from([1, -1]))
 def test_rotation_inverse(p, d):
     assert rotate60(rotate60(p, d), -d) == p
 
 
-@given(points)
+@given(lattice_points)
 def test_norm_zero_iff_equal(p):
     assert norm(p - p) == 0
     assert (norm(p) == 0) == (p == LatticePoint(0, 0))
@@ -98,7 +101,7 @@ def test_symmetries_preserve_distances():
 
 @pytest.mark.parametrize("n", [1, 2, 10, 50, 100])
 def test_triangle_cardinality(n):
-    assert sum(1 for _ in TriangleRegion(n).points()) == n * (n + 1) // 2
+    assert sum(1 for _ in points(TriangleRegion(n))) == n * (n + 1) // 2
 
 
 def test_stripe_window_membership():
@@ -116,9 +119,23 @@ def test_stripe_window_membership():
 ], ids=str)
 def test_point_arrays_match_points(region):
     a, b = region.point_arrays()
-    pts = list(region.fundamental_domain() if isinstance(region, PeriodicStripe) else region.points())
+    pts = loop_points(region)
     assert list(zip(a.tolist(), b.tolist())) == pts
+    assert list(points(region)) == pts
+    assert all(type(p) is LatticePoint for p in points(region))
     assert (region.rank(a, b) == np.arange(len(pts))).all()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_stripe_window_is_period_plus_span(k):
+    for period in (1, 2, 5, 12):
+        stripe = PeriodicStripe(k, period)
+        width = period + stripe_span_bound(k)
+        assert stripe.window() == StripeWindow(k, 0, width - 1)
+        # the window's cells: each window point reduced into the fundamental domain
+        cells = stripe.rank(*stripe.window().point_arrays())
+        assert cells.tolist() == (np.arange(k)[:, None] * period + np.arange(width) % period).ravel().tolist()
+    assert coloring.stripe_span_bound is stripe_span_bound
 
 
 def test_bad_regions():

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import apex_candidates, pair_walk_tallies, pair_walk_triangles
 
-from trilat.coloring import stripe_span_bound
 from trilat.lattice import (
     LatticePoint,
     PeriodicStripe,
     StripeWindow,
     TriangleRegion,
     norm,
+    stripe_span_bound,
     symmetries,
 )
 from trilat.triangles import (
