@@ -47,8 +47,6 @@ MOST = {"n": (1 << 32) - 1, "v": 1 << 32, "d": (1 << 32) - 1,
 # (points x colors) that common SAT solvers read
 MAX_COLORS = _CLAMP
 MAX_DIMACS_VARS = (1 << 31) - 1
-# the longest --timeout in seconds: an external solver is waited on in C-int milliseconds
-MAX_TIMEOUT = ((1 << 31) - 1) // 1000
 
 PALETTE = [
     "#e6194b", "#3cb44b", "#ffe119", "#4363d8", "#f58231", "#911eb4",
@@ -424,8 +422,8 @@ def main(argv=None) -> int:
         if getattr(args, "colors", 0) > MAX_COLORS:
             raise ValueError("--colors must be at most 2**61")
         timeout = getattr(args, "timeout", None)
-        if timeout is not None and not 0 <= timeout <= MAX_TIMEOUT:  # NaN compares false
-            raise ValueError(f"--timeout must be from 0 to {MAX_TIMEOUT} seconds")
+        if timeout is not None and not 0 <= timeout <= solver.MAX_SECONDS:  # NaN compares false
+            raise ValueError(f"--timeout must be from 0 to {solver.MAX_SECONDS} seconds")
         if getattr(args, "n_min", None) is None and hasattr(args, "n_min"):
             args.n_min = args.n
         if args.command in ("export-dimacs", "import-solution"):

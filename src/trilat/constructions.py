@@ -87,12 +87,21 @@ def banded_coloring(n: int, base_block: Coloring, w: int = 6, d: int = 0,
     sub = base_block.colors[base_block.region.rank(stripe_a, line)]
     del stripe_a, line
     band *= kb
-    band += d
-    band += sub  # d + band * kb + sub
+    band += sub
     del sub
     x -= c0
-    colors = np.where((x >= 0) & (x < d), x, band)  # d singleton columns, colored 0..d-1
-    del x, band
+    single = (x >= 0) & (x < d)  # the d singleton columns, x = 0..d-1
+    # the singleton columns present take the colors from 0, in column order,
+    # and the bands the colors above them, so the renumbering table below
+    # grows with the points, not with d
+    columns = x[single]
+    if columns.size:
+        lo = columns.min()
+        x -= lo
+        band += columns.max() - lo + 1
+    del columns
+    colors = np.where(single, x, band)
+    del x, band, single
     # renumber the colors used as 0, 1, ... in increasing order
     present = np.zeros(int(colors.max()) + 1, dtype=bool)
     present[colors] = True

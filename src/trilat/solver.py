@@ -18,6 +18,44 @@ per-color bitsets of the variables whose domain still holds that color make
 "fewest colors, then highest degree, then first" a few big-int operations and
 a lowest-set-bit, instead of a scan over every variable at every node.
 
+A long search runs on several processes and still returns exactly what the
+one-process search returns.  One loop, `_Search.run`, searches a *unit*: a
+contiguous stretch of the depth-first order, given as a stack of frames whose
+frames below the unit's base have no untried colors left.  The one-process
+search is the unit that starts from the empty stack.  It runs alone for
+SPLIT_NODES nodes; if it has no verdict by then and the platform can fork
+onto at least two CPUs, it pauses, and the caller forks up to MAX_WORKERS
+workers.  Worker 0 runs on with the paused unit, and the caller coordinates:
+
+- Stealing.  An idle worker waits while the worker of the earliest running
+  unit, in depth-first order, is asked to donate; workers read their pipe
+  every CHECK_EVERY nodes.  The donor picks a frame j: the shallowest frame
+  with untried colors at or below the shallowest frame that has tried more
+  than one color, or, with no such frame, the deepest frame with untried
+  colors.  It gives away all that follows its current subtree at j, frames
+  0..j with their untried colors, and zeroes those on its own stack.  The
+  donation becomes a unit of its own, right after the donor's.  Its worker
+  replays the frames' colors through the same forward checking, which
+  rebuilds the donor's domains and bitsets exactly, and runs on.  The rule
+  keeps the split near the donor's place in the order: the donor keeps a
+  subtree at a depth where it has already finished one, and the thief starts
+  right after it, not past the subtree of a shallow frame, which a budget
+  cut or a coloring would keep the one-process search from ever leaving.
+- Merging.  Every unit reports how it ended (exhausted, SAT, or cut by the
+  node budget or the clock), its node count, the node count at which it
+  first reached each new depth, and its colors if SAT.  The caller folds the
+  reports in depth-first order: SAT at the first SAT unit after exhausted
+  ones only, UNSAT when every unit is exhausted within the budget, UNKNOWN
+  with nodes equal to the budget once the running total passes it inside a
+  unit.  A unit searches the same nodes in the same order as the
+  one-process search does within its stretch, so the fold gives the same
+  status, nodes, max_depth and coloring for every node budget; work past
+  the verdict is discarded.  A time budget cuts wherever the clock runs out,
+  with one process or several, and is not reproducible.
+
+Workers are forked children of the caller that leave only by os._exit, and
+the caller kills and reaps every one of them on every way out.
+
 Instances beyond the internal solver's reach can be exported as DIMACS CNF and
 handed to any SAT-competition-style solver via a subprocess command; a solver
 that outlives its time budget is killed with every process it started.
@@ -26,13 +64,17 @@ that outlives its time budget is killed with every process it started.
 from __future__ import annotations
 
 import os
+import pickle
 import random
+import select
 import shlex
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -50,11 +92,33 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
+# the longest time budget in seconds: an external solver is waited on in
+# C-int milliseconds
+MAX_SECONDS = ((1 << 31) - 1) // 1000
+
+# A search splits across processes once it has counted this many nodes
+# without a verdict.  Fork, pipe and wait take about 2 ms a worker, some 250
+# nodes' time, and every search under about 4,500 nodes (T9-T11 k3, f(9), the
+# committed certificates) stays in one process.
+SPLIT_NODES = 4608
+MAX_WORKERS = 4
+CHECK_EVERY = 256  # nodes between deadline checks, and a worker's pipe polls
+
+# how a unit of the internal search ends, besides SAT
+EXHAUSTED, CUT, TIMED_OUT, PAUSED = "exhausted", "cut", "timed out", "paused"
+
 
 @dataclass
 class Budget:
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be nonnegative, not {self.max_nodes}")
+        if self.max_seconds is not None and not 0 <= self.max_seconds <= MAX_SECONDS:
+            # NaN compares false too
+            raise ValueError(f"max_seconds must be from 0 to {MAX_SECONDS}, not {self.max_seconds}")
 
 
 @dataclass
@@ -64,6 +128,7 @@ class SolveStats:
     build_s: float = 0.0  # constraints and the search's index, before the search
     max_depth: int = 0    # most variables colored at once
     budget_exhausted: bool = False
+    work_nodes: int = 0   # nodes counted by every process, discarded speculation too
 
 
 @dataclass
@@ -145,23 +210,24 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
     `budget.max_seconds` as its timeout (the node budget is the internal
     search's); otherwise the internal search does.
 
-    The internal search is one loop over an explicit stack with a
-    frame per assigned variable: [variable, its untried color bits, the
-    largest color used above it, the variables its color was removed from,
-    D[color] before that removal].
+    The internal search is one loop over an explicit stack with a frame per
+    assigned variable (see `_Search`).  Variables are renumbered by (degree
+    descending, rank) before the search, so "fewest colors under the cap,
+    then higher degree, then first" is the lowest set bit of a mask.  D[c] is
+    the bitset of variables whose domain still holds c and U the bitset of
+    uncolored ones; one pass over D[:cap] gives the variables with at least
+    one, two and three colors, and a bit-sliced count settles the rare node
+    where every candidate has more.  Forward checking flips a variable's bit
+    in D[c] with its domain bit, and the frame keeps the old D[c] to restore
+    it.  When several variables have no color left under the cap, the
+    lowest-numbered one is taken, not the first by rank as a scan would; the
+    choice is harmless, because that frame has nothing to try and is popped
+    before it counts a node.  The colors are mapped back to rank order for
+    the payload.
 
-    Variables are renumbered by (degree descending, rank) before the search,
-    so "fewest colors under the cap, then higher degree, then first" is the
-    lowest set bit of a mask.  D[c] is the bitset of variables whose domain
-    still holds c and U the bitset of uncolored ones; one pass over D[:cap]
-    gives the variables with at least one, two and three colors, and a
-    bit-sliced count settles the rare node where every candidate has more.
-    Forward checking flips a variable's bit in D[c] with its domain bit, and
-    the frame keeps the old D[c] to restore it.  When several variables have
-    no color left under the cap, the lowest-numbered one is taken, not the
-    first by rank as a scan would; the choice is harmless, because that frame
-    has nothing to try and is popped before it counts a node.  The colors are
-    mapped back to rank order for the payload.
+    A search still running after SPLIT_NODES nodes is split across worker
+    processes when it can be (see the module docstring); its status, nodes,
+    max_depth and coloring are those of the one-process search.
     """
     if K < 1:
         raise ValueError("K must be positive")
@@ -175,105 +241,380 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
     order = np.argsort(-degree, kind="stable")  # search index -> rank
     index = np.empty(n, dtype=np.int64)         # rank -> search index
     index[order] = np.arange(n)
-    partners = constraint_lists(n, index[ternary], index[binary])
-    bits = [1 << v for v in range(n)]
-    # the color cap below is at most n while a variable is uncolored, so no
-    # color from n on is ever tried
-    dom = [(1 << min(K, n)) - 1] * n
-    color = [-1] * n
-    D = [(1 << n) - 1] * min(K, n)  # D[c]: the variables whose domain holds c
-    U = (1 << n) - 1        # the uncolored variables
+    search = _Search(n, K, constraint_lists(n, index[ternary], index[binary]))
     # the node budget is checked where a node is counted, so it is never overshot
     limit = budget.max_nodes if budget.max_nodes is not None else sys.maxsize
-    nodes = max_depth = 0
+    # one worker per CPU this process may use, where it can fork
+    workers = (min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
     search_start = time.monotonic()
     stats.build_s = search_start - start
     deadline = search_start + budget.max_seconds if budget.max_seconds is not None else None
-    stack: list[list] = []
-    status = None
-    while status is None:
-        depth = len(stack)
-        if depth > max_depth:
-            max_depth = depth
-        if depth == n:
-            status = SAT
-            break
-        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
-            status = UNKNOWN
-            break
-        # a color may be at most one more than the largest used on this branch
-        max_used = max(stack[-1][2], color[stack[-1][0]]) if stack else -1
-        cap = min(K, max_used + 2)
-        # the most constrained variable, ties to the higher degree: the lowest
-        # bit of the uncolored variables with the fewest colors under the cap
-        # (with none left, any one will do: its frame is popped at once)
-        ge1 = ge2 = ge3 = 0
-        for d in D[:cap]:
-            ge3 |= ge2 & d
-            ge2 |= ge1 & d
-            ge1 |= d
-        cand = U & ~ge1 or U & ~ge2 or U & ~ge3 or _fewest_colors(D[:cap], U)
-        v = (cand & -cand).bit_length() - 1
-        stack.append([v, dom[v] & ((1 << cap) - 1), max_used, (), 0])
-        # undo the top frame's color and give it the next one that survives
-        # forward checking; pop frames that run out of colors
-        while stack:
-            frame = stack[-1]
-            v, untried, _, removed, saved = frame
-            c = color[v]
-            if c >= 0:
-                color[v] = -1
-                U |= bits[v]
-                D[c] = saved
-                bit = 1 << c
-                for x in removed:
-                    dom[x] |= bit
-            if not untried:
-                stack.pop()
-                continue
-            if nodes >= limit:
-                status = UNKNOWN
-                break
-            bit = untried & -untried
-            c = bit.bit_length() - 1
-            frame[1] = untried ^ bit
-            frame[3] = removed = []
-            frame[4] = Dc = D[c]
-            nodes += 1
-            color[v] = c
-            U ^= bits[v]
-            for (u, w) in partners[v]:
-                if color[u] == c:
-                    x = w
-                elif color[w] == c:
-                    x = u
-                else:
-                    continue
-                if color[x] == c:
-                    break  # a monochromatic constraint: next color
-                if color[x] < 0 and dom[x] & bit:
-                    dom[x] ^= bit
-                    Dc ^= bits[x]
-                    removed.append(x)
-                    if not dom[x]:
-                        break  # a wiped-out domain: next color
-            else:
-                D[c] = Dc
-                break  # consistent: pick the next variable
-        else:  # the first variable ran out of colors
-            status = UNSAT
+
+    def warm_up(nodes):
+        if deadline is not None and time.monotonic() > deadline:
+            return TIMED_OUT
+        return PAUSED if workers > 1 and nodes >= SPLIT_NODES else None
+
+    report = search.run(limit, warm_up)
+    if report[0] == PAUSED:
+        (status, nodes, max_depth, colors), stats.work_nodes = _split(search, limit, deadline, workers)
+    else:
+        (status, nodes, max_depth, colors), stats.work_nodes = _merge([report], limit), search.nodes
     stats.elapsed = time.monotonic() - search_start
     stats.nodes, stats.max_depth = nodes, max_depth
     stats.budget_exhausted = status == UNKNOWN
     if status != SAT:
         return SolveOutcome(status, None, stats)
     by_rank = np.empty(n, dtype=np.int64)
-    by_rank[order] = color
+    by_rank[order] = colors
     coloring = Coloring(region, by_rank, K)
     ok, witness = is_proper(coloring)
     if not ok:
         raise RuntimeError(f"solver produced improper coloring, witness {witness}")
     return SolveOutcome(SAT, coloring, stats)
+
+
+class _Search:
+    """One exact search: its constraint index, the current partial coloring
+    (domains, colors, the D bitsets and the uncolored bitset U) and the unit
+    it searches, a contiguous stretch of the depth-first order.
+
+    The unit is `stack`, its frames [variable, untried color bits, the
+    largest color used above it, the variables its color was removed from,
+    D[color] before that removal, the color bits the frame started with];
+    `script`, frames still to push, last first; `nodes`, the nodes counted;
+    and `records`, one (nodes, depth) pair for each new maximum depth.  The
+    frames below the unit's base have no untried colors, so the unit ends
+    when its stack empties.
+    """
+
+    def __init__(self, n: int, K: int, partners: list[list[tuple[int, int]]]):
+        self.n, self.K, self.partners = n, K, partners
+        self.bits = [1 << v for v in range(n)]
+        self.start(())
+
+    def start(self, frames: Sequence[tuple[int, int, int]]) -> None:
+        """Uncolor every variable and take up the unit that `frames` 0..j of a
+        donation describe, as (variable, color, untried bits); no frames make
+        the whole search.
+
+        Frames 0..j-1 are pushed with their color ahead of their untried ones
+        and frame j with its untried ones alone, so replaying the colors
+        (counted from -j up to 0) rebuilds the donor's domains and D bitsets
+        and leaves this unit what the donor gave away.
+        """
+        n = self.n
+        # the color cap is at most n while a variable is uncolored, so no
+        # color from n on is ever tried
+        k = min(self.K, n)
+        self.dom = [(1 << k) - 1] * n
+        self.color = [-1] * n
+        self.D = [(1 << n) - 1] * k  # D[c]: the variables whose domain holds c
+        self.U = (1 << n) - 1        # the uncolored variables
+        self.script = [(v, untried) for v, _, untried in frames[-1:]]
+        self.script += [(v, untried | 1 << c) for v, c, untried in reversed(frames[:-1])]
+        self.stack, self.records, self.nodes = [], [], min(0, 1 - len(frames))
+
+    def run(self, limit: int, check) -> tuple:
+        """Search the unit on to its end; returns (end, nodes, records, colors).
+
+        The end is EXHAUSTED when the stack empties, SAT when every variable
+        is colored (with the colors), CUT when the unit would count node
+        `limit` + 1, or whatever `check(nodes)` returns: it is called each
+        time CHECK_EVERY more nodes have been counted, at the next point where
+        every frame is colored, and a unit it stops can be run on.
+        """
+        n, K, partners, bits = self.n, self.K, self.partners, self.bits
+        dom, color, D, U = self.dom, self.color, self.D, self.U
+        stack, script, records, nodes = self.stack, self.script, self.records, self.nodes
+        max_depth = records[-1][1] if records else 0
+        check_at = max(nodes, 0) + CHECK_EVERY  # never while a script replays
+        end = None
+        while end is None:
+            depth = len(stack)
+            if depth > max_depth:
+                max_depth = depth
+                records.append((nodes, depth))
+            if depth == n:
+                end = SAT
+                break
+            if nodes >= check_at:
+                check_at = nodes + CHECK_EVERY
+                end = check(nodes)
+                if end is not None:
+                    break
+            # a color may be at most one more than the largest used on this branch
+            max_used = max(stack[-1][2], color[stack[-1][0]]) if stack else -1
+            if script:
+                v, untried = script.pop()
+            else:
+                cap = min(K, max_used + 2)
+                # the most constrained variable, ties to the higher degree: the
+                # lowest bit of the uncolored variables with the fewest colors
+                # under the cap (with none left, any one will do: its frame is
+                # popped at once)
+                ge1 = ge2 = ge3 = 0
+                for d in D[:cap]:
+                    ge3 |= ge2 & d
+                    ge2 |= ge1 & d
+                    ge1 |= d
+                cand = U & ~ge1 or U & ~ge2 or U & ~ge3 or _fewest_colors(D[:cap], U)
+                v = (cand & -cand).bit_length() - 1
+                untried = dom[v] & ((1 << cap) - 1)
+            stack.append([v, untried, max_used, (), 0, untried])
+            # undo the top frame's color and give it the next one that survives
+            # forward checking; pop frames that run out of colors
+            while stack:
+                frame = stack[-1]
+                v, untried, _, removed, saved, _ = frame
+                c = color[v]
+                if c >= 0:
+                    color[v] = -1
+                    U |= bits[v]
+                    D[c] = saved
+                    bit = 1 << c
+                    for x in removed:
+                        dom[x] |= bit
+                if not untried:
+                    stack.pop()
+                    continue
+                if nodes >= limit:
+                    end = CUT
+                    break
+                bit = untried & -untried
+                c = bit.bit_length() - 1
+                frame[1] = untried ^ bit
+                frame[3] = removed = []
+                frame[4] = Dc = D[c]
+                nodes += 1
+                color[v] = c
+                U ^= bits[v]
+                for (u, w) in partners[v]:
+                    if color[u] == c:
+                        x = w
+                    elif color[w] == c:
+                        x = u
+                    else:
+                        continue
+                    if color[x] == c:
+                        break  # a monochromatic constraint: next color
+                    if color[x] < 0 and dom[x] & bit:
+                        dom[x] ^= bit
+                        Dc ^= bits[x]
+                        removed.append(x)
+                        if not dom[x]:
+                            break  # a wiped-out domain: next color
+                else:
+                    D[c] = Dc
+                    break  # consistent: pick the next variable
+            else:
+                end = EXHAUSTED
+        self.U, self.nodes = U, nodes
+        return end, nodes, records, color[:] if end == SAT else None
+
+    def donate(self) -> Optional[list[tuple[int, int, int]]]:
+        """What the unit gives away when asked, at a check: frames 0..j as
+        (variable, color, untried bits), zeroing those untried bits on its own
+        stack; None when no frame qualifies.
+
+        j is the shallowest frame with untried colors at or below the
+        shallowest frame that has tried more than one color (one that started
+        with a color below its own); with no such frame, the deepest frame
+        with untried colors.
+        """
+        frames = [(f[0], self.color[f[0]], f[1]) for f in self.stack]
+        backtracked = [i for i, (f, (_, c, _)) in enumerate(zip(self.stack, frames))
+                       if f[5] & ((1 << c) - 1)]
+        top = backtracked[0] if backtracked else 0
+        candidates = [i for i, (_, _, untried) in enumerate(frames) if untried and i >= top]
+        if not candidates:
+            return None
+        j = candidates[0] if backtracked else candidates[-1]
+        for f in self.stack[:j + 1]:
+            f[1] = 0
+        return frames[:j + 1]
+
+
+def _merge(reports: Sequence[Optional[tuple]], limit: int) -> Optional[tuple]:
+    """Fold unit reports, in depth-first order, as the one-process search would
+    count them: (status, nodes, max_depth, colors), or None while a unit that
+    decides it has not reported.
+
+    The node budget cuts in the first unit that would take the running total
+    past `limit`, or that was itself cut; max_depth is then the deepest point
+    reached up to the cut.  A unit that found a coloring, or ran out of time,
+    decides once every unit before it is exhausted.
+    """
+    total = depth = 0
+    for report in reports:
+        if report is None:
+            return None
+        end, count, records, colors = report
+        if end == CUT or total + count > limit:
+            return UNKNOWN, limit, max([depth] + [d for c, d in records if total + c <= limit]), None
+        total += count
+        depth = max([depth] + [d for _, d in records])
+        if end == SAT:
+            return SAT, total, depth, colors
+        if end == TIMED_OUT:
+            return UNKNOWN, total, depth, None
+    return UNSAT, total, depth, None
+
+
+def _send(fd: int, kind: str, value=None) -> None:
+    data = pickle.dumps((kind, value), pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fd: int) -> tuple:
+    """The (kind, value) message that `_send` wrote to the other end of a pipe."""
+
+    def read(size):
+        data = b""
+        while len(data) < size:
+            chunk = os.read(fd, size - len(data))
+            if not chunk:
+                raise RuntimeError("a search process closed its pipe")
+            data += chunk
+        return data
+
+    return pickle.loads(read(int.from_bytes(read(8), "little")))
+
+
+def _work(search: _Search, busy: bool, limit: int, deadline: Optional[float],
+          rfd: int, wfd: int, shared, slot: int) -> None:
+    """A worker's loop: run each unit it is given and report it, until killed.
+
+    Messages are read in the same check as the deadline.  A request to
+    donate stays pending until a frame qualifies or the unit ends; a unit
+    told the nodes it has left before the budget stops once past them, since
+    the cut then falls inside it.  The worker's node count so far is kept in
+    `shared`, for work_nodes.
+    """
+    done = 0
+
+    def check(nodes):
+        nonlocal pending, left
+        struct.pack_into("q", shared, 8 * slot, done + max(nodes, 0))
+        if deadline is not None and time.monotonic() > deadline:
+            return TIMED_OUT
+        while select.select([rfd], [], [], 0)[0]:
+            kind, value = _recv(rfd)  # "donate" or "left": a busy worker gets no unit
+            if kind == "left":
+                left = value
+            else:
+                pending = True
+        if nodes > left:
+            return CUT
+        if pending and (frames := search.donate()):
+            _send(wfd, "give", frames)
+            pending = False
+        return None
+
+    while True:
+        if not busy:
+            while (message := _recv(rfd))[0] != "unit":
+                pass  # a message that crossed this worker's last report
+            search.start(message[1])
+        pending, left, busy = False, limit, False
+        report = search.run(limit, check)
+        done += search.nodes
+        struct.pack_into("q", shared, 8 * slot, done)
+        _send(wfd, "report", report)
+
+
+def _split(search: _Search, limit: int, deadline: Optional[float],
+           workers: int) -> tuple[tuple, int]:
+    """Finish a paused search on `workers` forked processes: the merged
+    (status, nodes, max_depth, colors) and the nodes every worker counted.
+
+    Worker 0 runs on with the paused unit, unit 0, and the others start from
+    its donations.  An idle worker waits while the worker of the earliest
+    running unit, in depth-first order, is asked to donate; a donation
+    becomes the unit right after the donor's.  Once every unit before the
+    first running one is exhausted, that one is told the nodes it has left.
+    Every way out kills and reaps every worker.
+    """
+    import mmap  # a split search alone needs it
+
+    inbox = []  # (worker, message) pairs: first, unit 0's first donations, made here
+    while len(inbox) < workers - 1 and (frames := search.donate()):
+        inbox.append((0, ("give", frames)))
+    with mmap.mmap(-1, 8 * workers) as shared:  # each worker's node count
+        struct.pack_into("q", shared, 0, search.nodes)
+        pids: list[int] = []
+        to: list[int] = []    # the parent's write end of each worker's pipe
+        frm: list[int] = []   # and its read end
+        try:
+            for w in range(workers):
+                child_r, to_w = os.pipe()
+                to.append(to_w)
+                ends = [child_r]  # the child's ends, which the parent closes
+                try:
+                    frm_w, child_w = os.pipe()
+                    frm.append(frm_w)
+                    ends.append(child_w)
+                    with warnings.catch_warnings():
+                        # numpy's BLAS pool makes this process multi-threaded,
+                        # and Python 3.12+ warns at fork: a worker runs only
+                        # the pure-Python search, writes only to its pipe and
+                        # leaves by os._exit, so it takes no lock those
+                        # threads may hold and flushes no buffer twice
+                        warnings.simplefilter("ignore", DeprecationWarning)
+                        pid = os.fork()
+                    if pid == 0:
+                        try:
+                            for fd in to + frm:
+                                os.close(fd)
+                            _work(search, w == 0, limit, deadline, child_r, child_w, shared, w)
+                        finally:
+                            os._exit(1)
+                    pids.append(pid)
+                finally:
+                    for fd in ends:
+                        os.close(fd)
+            order = [0]                               # unit ids in depth-first order
+            holder = [0] + [None] * (workers - 1)     # the unit each worker runs
+            reports: dict[int, tuple] = {}
+            asked = told = None  # the worker asked to donate, the unit told its nodes left
+            while True:
+                for w, (kind, value) in inbox:
+                    if kind == "give":
+                        order.insert(order.index(holder[w]) + 1, len(order))
+                        # a worker is asked to donate only while another is idle
+                        thief = holder.index(None)
+                        holder[thief] = len(order) - 1
+                        _send(to[thief], "unit", value)
+                    else:
+                        reports[holder[w]], holder[w] = value, None
+                    if asked == w:
+                        asked = None
+                if (verdict := _merge([reports.get(u) for u in order], limit)) is not None:
+                    break
+                first = next(i for i, u in enumerate(order) if u not in reports)
+                if limit < sys.maxsize and order[first] != told:
+                    told = order[first]
+                    left = limit - sum(reports[u][1] for u in order[:first])
+                    _send(to[holder.index(told)], "left", left)
+                if asked is None and None in holder:
+                    asked = min((w for w, u in enumerate(holder) if u is not None),
+                                key=lambda w: order.index(holder[w]))
+                    _send(to[asked], "donate")
+                inbox = [(frm.index(fd), _recv(fd)) for fd in select.select(frm, [], [])[0]]
+        finally:
+            for pid in pids:
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                with suppress(ChildProcessError):  # reaped already, where SIGCHLD is ignored
+                    os.waitpid(pid, 0)
+            for fd in to + frm:
+                os.close(fd)
+        work = sum(struct.unpack_from(f"{workers}q", shared))
+    return verdict, work
 
 
 def solve_periodic_stripe(k: int, period: int, K: int, budget: Budget = Budget()) -> SolveOutcome:

@@ -228,6 +228,18 @@ def test_instances_too_large_for_memory(argv):
     assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
 
 
+def test_banded_widest_spacer_fits_small_memory():
+    # the spacer's columns are colored by their place among the columns
+    # present, so the largest --d asks for no table of 2**31 entries
+    proc = _trilat("construct", "--scheme", "banded", "--n", "5", "--d", str(2 ** 32 - 1),
+                   timeout=60, limit_bytes=2 << 30)
+    assert proc.returncode == 0, proc.stderr
+    # every point lies in the spacer: one color per column 2a + b
+    col = read_certificate(proc.stdout)
+    assert col.colors.tolist() == [2 * a + b for a, b in points(TriangleRegion(5))]
+    assert proc.stderr == "c colors used: 9\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("stripe", "--k", "99999999999999999999", "--colors", "3", "--period", "1"),
     ("stripe", "--k", "3", "--colors", "3", "--period", "99999999999999999999"),

@@ -166,7 +166,9 @@ def _banded_by_points(n, block, w, d, left_phase=0, right_phase=1):
 
 
 @pytest.mark.parametrize("n,d,phases", [(1, 0, (0, 1)), (8, 16, (0, 1)), (40, 15, (0, 1)),
-                                        (61, 15, (2, 3)), (61, 0, (1, 0)), (30, 7, (3, 2))])
+                                        (61, 15, (2, 3)), (61, 0, (1, 0)), (30, 7, (3, 2)),
+                                        (5, 2 ** 32 - 1, (0, 1)), (40, 2 ** 20, (0, 1)),
+                                        (61, 61, (0, 1)), (61, 200, (2, 3))])
 def test_array_constructions_match_point_loops(block6, n, d, phases):
     col = banded_coloring(n, block6, 6, d, verify=False, left_phase=phases[0],
                           right_phase=phases[1])

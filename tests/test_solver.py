@@ -6,6 +6,7 @@ import shlex
 import signal
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -435,3 +436,103 @@ def test_huge_palette_searches_as_one_color_per_point(region):
     assert (small.status, small.stats.nodes) == (huge.status, huge.stats.nodes) == (SAT, n)
     assert small.coloring.colors.tolist() == huge.coloring.colors.tolist()
     assert huge.coloring.num_colors == 10 ** 20
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+@pytest.mark.parametrize("region,k,max_nodes,status,nodes,max_depth,sha", [
+    *[(TriangleRegion(13), 4, budget, UNKNOWN, budget, depth, None)
+      for budget, depth in [(5000, 51), (20000, 56), (50000, 56), (100000, 56)]],
+    (TriangleRegion(16), 5, 39730, UNKNOWN, 39730, 135, None),
+    (TriangleRegion(16), 5, None, SAT, 39731, 136, "c330a717aa8a8f5d"),
+    (PeriodicStripe(6, 12), 3, 20000, UNKNOWN, 20000, 32, None),
+    (PeriodicStripe(6, 12), 3, 25144, UNSAT, 25144, 32, None),  # ends exactly at the budget
+], ids=[*[f"T13k4-budget{b}" for b in (5000, 20000, 50000, 100000)], "T16k5-budget39730",
+        "T16k5", "S6p12k3-budget20000", "S6p12k3-budget25144"])
+def test_split_search_pinned(monkeypatch, cpus, region, k, max_nodes, status, nodes, max_depth, sha):
+    """Searches long enough to be split across processes: status, nodes,
+    max_depth and certificate equal the one-process search's, with every CPU
+    and with one (where the search never forks)."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = decide_k_colorable(region, k, Budget(max_nodes=max_nodes))
+    assert (out.status, out.stats.nodes, out.stats.max_depth) == (status, nodes, max_depth)
+    assert out.stats.budget_exhausted == (status == UNKNOWN)
+    cert = write_certificate(out.coloring) if out.coloring is not None else None
+    assert (cert and hashlib.sha256(cert.encode()).hexdigest()[:16]) == sha
+    split = cpus == "all" and len(os.sched_getaffinity(0)) >= 2
+    assert bool(forks) == split
+    assert out.stats.work_nodes >= out.stats.nodes if split else out.stats.work_nodes == out.stats.nodes
+    _no_children_left()
+
+
+def test_short_search_never_forks(monkeypatch):
+    # T9 k3 (f(9) = 4) and every committed certificate stay in one process
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a short search forked"))
+    for region, k in [(TriangleRegion(9), 3), (TriangleRegion(11), 3), (TriangleRegion(20), 7)]:
+        out = decide_k_colorable(region, k)
+        assert out.stats.work_nodes == out.stats.nodes < 4500
+
+
+class _Interrupt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", ["SAT", "UNSAT", "budget", "deadline", "exception"])
+def test_split_search_leaves_no_process(case):
+    """Every way out of a split search kills and reaps its workers."""
+    if case == "SAT":
+        assert decide_k_colorable(TriangleRegion(16), 5).status == SAT
+    elif case == "UNSAT":
+        assert solve_periodic_stripe(6, 12, 3).status == UNSAT
+    elif case == "budget":
+        out = decide_k_colorable(TriangleRegion(13), 4, Budget(max_nodes=30000))
+        assert (out.status, out.stats.nodes) == (UNKNOWN, 30000)
+    elif case == "deadline":
+        out = decide_k_colorable(TriangleRegion(13), 4, Budget(max_seconds=0.05))
+        assert out.status == UNKNOWN and out.stats.budget_exhausted and out.stats.nodes > 0
+    else:
+        # an exception raised in the caller while the workers run, as an
+        # interrupt would be: T13 k4 has no verdict for many seconds
+        def interrupt(signum, frame):
+            raise _Interrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.15)
+            with pytest.raises(_Interrupt):
+                decide_k_colorable(TriangleRegion(13), 4)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    _no_children_left()
+
+
+def test_split_search_warns_nothing():
+    # numpy's BLAS pool makes the process multi-threaded, and Python 3.12+
+    # warns at fork unless the search handles it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert decide_k_colorable(TriangleRegion(16), 5).status == SAT
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_seconds": float("nan")}, {"max_seconds": float("inf")}, {"max_seconds": -1.0},
+    {"max_seconds": 2147484}, {"max_nodes": -1},
+], ids=["seconds-nan", "seconds-inf", "seconds-negative", "seconds-2147484", "nodes-negative"])
+def test_budget_rejects_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        Budget(**kwargs)
+
+
+def test_budget_accepts_its_range():
+    for budget in (Budget(max_seconds=0), Budget(max_seconds=2147483), Budget(max_nodes=0)):
+        assert decide_k_colorable(TriangleRegion(2), 2, budget).status in (SAT, UNKNOWN)
