@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,7 @@ def cmd_render(args) -> int:
     return 0
 
 
+@cache  # built on first use, once per process: not at import
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="trilat",
                                  description="Triangular-lattice coloring and counting workbench")

@@ -35,6 +35,23 @@ order, is the witness; the triangle-scan oracle is in tests/oracles.py.
 Periodic stripe colorings are scanned on `PeriodicStripe.window()`, which
 holds a translate of every triangle of the stripe.
 
+The scan works in units: a row block of one color class, of about 2**17
+pair probes (max(1, 2**17 // s) rows of a class of s points).  Classes come
+in order of first appearance and blocks in row order, so the earliest unit
+with a hit holds the witness.  A scan of 2**21 probes or more runs on one
+thread per usable CPU (`usable_cpus`), the caller's among them; below that,
+and on one CPU, the caller runs the same loop over the same units alone.
+Each thread takes the next unit from a shared counter.  A unit k with a hit
+lowers a shared bound to k, and no thread takes a unit at or past the bound,
+while every unit before it is still scanned: the reported pair is the
+one-thread scan's.  An exception in a unit, or one raised in the caller while
+it waits (KeyboardInterrupt, a signal handler's), sets the bound to 0, so each
+thread stops after its current unit; every thread is joined before the call
+returns or raises, and the first exception is raised in the caller.  The
+checker uses threads where the exact search forks processes because numpy's
+take, add, == and any release the GIL and every thread reads the one grid
+without a copy, while the search is pure Python, which holds the GIL.
+
 Certificate and DIMACS text.  Certificates, DIMACS clause blocks and `trilat
 enumerate` are written by one function, `format_chunks`, from a template such
 as "%d %d %d\n" whose only directives are %d, and rows of int64 values, 32,768
@@ -54,7 +71,10 @@ pass that drops the 0 bytes leaves the text.  The table is built on first use
 
 from __future__ import annotations
 
+import os
 import re
+import signal
+import threading
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -120,28 +140,110 @@ class Coloring:
 
 
 def color_count(c: Coloring) -> int:
+    """The number of colors the points use; gaps in the palette are not counted."""
+    if c.colors.size and c.colors.max() < c.colors.size:  # a dense palette: no sort
+        return int(np.count_nonzero(np.bincount(c.colors)))
     return int(np.unique(c.colors).size)
 
 
-# pair probes per block of a color class, so memory stays bounded for any class size
-_BLOCK = 1 << 16
+# pair probes per unit of the scan (module docstring): about 1.3 MB of temporaries
+_UNIT = 1 << 17
+# a scan of fewer probes runs on the calling thread alone; every check of the
+# exact search and of the committed certificates stays below this
+_THREAD_PROBES = 1 << 21
+MAX_WORKERS = 4
 
 
-def _first_hit(grid: np.ndarray, u: np.ndarray, v: np.ndarray, color) -> Optional[tuple[int, int]]:
-    """First pair i < j of a class, row-major, whose apex cell grid[u[i] + v[j]]
-    (clipped to the grid) has `color`."""
-    s = len(u)
-    rows = max(1, _BLOCK // s)
-    upper = np.tri(min(rows, s - 1), dtype=bool).T  # [t, c]: c >= t
-    for i0 in range(0, s - 1, rows):
-        h = min(rows, s - 1 - i0)
-        # row t is i = i0 + t and column c is j = i0 + 1 + c, so c < t means j <= i
-        hit = grid.take(u[i0:i0 + h, None] + v[None, i0 + 1:], mode="clip") == color
-        hit[:, :h] &= upper[:h, :h]
-        if hit.any():
-            t, col = divmod(int(hit.argmax()), hit.shape[1])
-            return i0 + t, i0 + 1 + col
+def usable_cpus() -> int:
+    """The CPUs this process may run on, up to MAX_WORKERS: the number of
+    checker threads and of exact-search processes."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+
+
+def _unit_hit(grid: np.ndarray, u: np.ndarray, v: np.ndarray, upper: np.ndarray,
+              unit: tuple) -> Optional[tuple[int, int]]:
+    """First pair (i, j), row-major, of a unit (i0, h, end, color) whose apex
+    cell grid[u[i] + v[j]] (clipped to the grid) has the unit's color, for
+    i0 <= i < i0 + h and i < j < end."""
+    i0, h, end, color = unit
+    # row t is i = i0 + t and column c is j = i0 + 1 + c, so c < t means j <= i
+    hit = grid.take(u[i0:i0 + h, None] + v[None, i0 + 1:end], mode="clip") == color
+    hit[:, :h] &= upper[:h, :h]
+    if hit.any():
+        t, col = divmod(int(hit.argmax()), hit.shape[1])
+        return i0 + t, i0 + 1 + col
     return None
+
+
+def _first_hit(units: list, hit_of, workers: int) -> Optional[tuple[int, int]]:
+    """The hit of the earliest unit that has one, scanned by `workers` threads,
+    the caller's among them (module docstring)."""
+    lock, left = threading.Lock(), threading.Semaphore(0)
+    taken, bound, hits, errors = 0, len(units), {}, []
+
+    def lower(k):
+        nonlocal bound
+        with lock:
+            bound = min(bound, k)
+
+    def work():
+        nonlocal taken
+        try:
+            while True:
+                with lock:
+                    k, taken = taken, taken + 1
+                    if k >= bound:
+                        return
+                found = hit_of(units[k])
+                if found is not None:
+                    hits[k] = found
+                    lower(k)
+        except BaseException as e:  # raised by the caller once every thread has left
+            errors.append(e)
+            lower(0)
+
+    def run():
+        try:
+            work()
+        finally:
+            left.release()
+
+    threads = []
+    if workers > 1:
+        # threads start with every signal blocked: a handler runs on the caller's
+        # thread alone, and never while a start is half done
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            for _ in range(workers - 1):
+                threads.append(threading.Thread(target=run))
+                threads[-1].start()
+        except RuntimeError:  # no more threads: the others scan on
+            threads.pop()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    try:
+        work()
+    except BaseException:  # raised outside a unit
+        lower(0)
+        raise
+    finally:
+        # a Thread.join cut short by an exception can take a running thread for a
+        # stopped one, so the threads are waited for on `left` first
+        for _ in threads:
+            while True:
+                try:
+                    left.acquire()
+                    break
+                except BaseException as e:  # KeyboardInterrupt, a signal handler's exception
+                    errors.append(e)
+                    lower(0)
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return hits.get(bound)
 
 
 def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
@@ -153,7 +255,8 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
     cells no point colors.  A rank-ordered pair has b_q >= b_p, so its apex
     column a_p - (b_q - b_p) is always a grid column, and an apex row past
     either border row clips onto a sentinel cell of that border row.  Beside
-    the grid, the scan holds a few arrays of one entry per scanned point.
+    the grid, the scan holds a few arrays of one entry per scanned point, and
+    each thread the temporaries of one unit.
     """
     region = c.region
     periodic = isinstance(region, PeriodicStripe)
@@ -184,18 +287,27 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
     del ordered
     ends = np.append(starts, a.size)
     starts = np.insert(starts, 0, 0)
-    for cls in np.argsort(members[starts]):  # classes by first appearance
-        if ends[cls] - starts[cls] < 3:
+    u, v = u[members], v[members]  # each class contiguous
+    units, probes = [], 0
+    for cls in np.argsort(members[starts]).tolist():  # classes by first appearance
+        lo, hi = int(starts[cls]), int(ends[cls])
+        if hi - lo < 3:
             continue
-        m = members[starts[cls]:ends[cls]]
-        found = _first_hit(grid, u[m], v[m], colors[m[0]])
-        if found is not None:
-            p, q = m[found[0]], m[found[1]]
-            p1 = LatticePoint(int(a[p]), int(b[p]))
-            p2 = LatticePoint(int(a[q]), int(b[q]))
-            apex = LatticePoint(p1.a + p1.b - p2.b, p2.a + p2.b - p1.a)
-            return (False, EquilateralTriangle.of(p1, p2, apex))
-    return (True, None)
+        rows, color = max(1, _UNIT // (hi - lo)), colors[members[lo]]
+        for i0 in range(lo, hi - 1, rows):  # the class's row blocks, in row order
+            h = min(rows, hi - 1 - i0)
+            units.append((i0, h, hi, color))
+            probes += h * (hi - 1 - i0)
+    upper = np.tri(max((unit[1] for unit in units), default=0), dtype=bool).T  # [t, c]: c >= t
+    found = _first_hit(units, lambda unit: _unit_hit(grid, u, v, upper, unit),
+                       usable_cpus() if probes >= _THREAD_PROBES else 1)
+    if found is None:
+        return (True, None)
+    p, q = members[found[0]], members[found[1]]
+    p1 = LatticePoint(int(a[p]), int(b[p]))
+    p2 = LatticePoint(int(a[q]), int(b[q]))
+    apex = LatticePoint(p1.a + p1.b - p2.b, p2.a + p2.b - p1.a)
+    return (False, EquilateralTriangle.of(p1, p2, apex))
 
 
 # -- certificate files --------------------------------------------------------

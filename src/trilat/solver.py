@@ -24,8 +24,9 @@ contiguous stretch of the depth-first order, given as a stack of frames whose
 frames below the unit's base have no untried colors left.  The one-process
 search is the unit that starts from the empty stack.  It runs alone for
 SPLIT_NODES nodes; if it has no verdict by then and the platform can fork
-onto at least two CPUs, it pauses, and the caller forks up to MAX_WORKERS
-workers.  Worker 0 runs on with the paused unit, and the caller coordinates:
+onto at least two CPUs, it pauses, and the caller forks one worker per CPU
+that `coloring.usable_cpus` counts (up to 4).  Worker 0 runs on with the
+paused unit, and the caller coordinates:
 
 - Stealing.  An idle worker waits while the worker of the earliest running
   unit, in depth-first order, is asked to donate; workers read their pipe
@@ -83,7 +84,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coloring import Coloring, color_count, format_chunks, is_proper
+from .coloring import Coloring, color_count, format_chunks, is_proper, usable_cpus
 from .constructions import chevron_coloring
 from .lattice import LatticePoint, PeriodicStripe, Region, TriangleRegion, points
 from .triangles import triangle_ranks
@@ -101,7 +102,6 @@ MAX_SECONDS = ((1 << 31) - 1) // 1000
 # nodes' time, and every search under about 4,500 nodes (T9-T11 k3, f(9), the
 # committed certificates) stays in one process.
 SPLIT_NODES = 4608
-MAX_WORKERS = 4
 CHECK_EVERY = 256  # nodes between deadline checks, and a worker's pipe polls
 
 # how a unit of the internal search ends, besides SAT
@@ -244,9 +244,8 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
     search = _Search(n, K, constraint_lists(n, index[ternary], index[binary]))
     # the node budget is checked where a node is counted, so it is never overshot
     limit = budget.max_nodes if budget.max_nodes is not None else sys.maxsize
-    # one worker per CPU this process may use, where it can fork
-    workers = (min(MAX_WORKERS, len(os.sched_getaffinity(0)))
-               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    # one worker per usable CPU, where the platform can fork
+    workers = usable_cpus() if hasattr(os, "fork") else 1
     search_start = time.monotonic()
     stats.build_s = search_start - start
     deadline = search_start + budget.max_seconds if budget.max_seconds is not None else None

@@ -81,7 +81,9 @@ def triangle_ranks(region: Region) -> np.ndarray:
     """
     ranks = np.concatenate([np.empty((0, 3), dtype=np.int64)]
                            + [region.rank(a, b).T for a, b in _generate(region, upright_only=False)])
-    ranks.sort(axis=1)
+    # vertex 0, (x+i, y), has the lowest rank of its triangle: lowest b, and at i = 0 lower a
+    lo, hi = np.minimum(ranks[:, 1], ranks[:, 2]), np.maximum(ranks[:, 1], ranks[:, 2])
+    ranks[:, 1], ranks[:, 2] = lo, hi
     # sorted() order of EquilateralTriangle: vertices compared as (a, b) tuples
     a_pts, b_pts = region.point_arrays()
     key = a_pts * (int(b_pts.max(initial=0)) + 1) + b_pts

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from oracles import fano_plane
 
-from trilat.cli import main, render_svg
+from trilat.cli import build_parser, main, render_svg
 from trilat.coloring import Coloring, is_proper, read_certificate, write_certificate
 from trilat.constructions import banded_coloring, chevron_coloring
 from trilat.counting import report_closed
@@ -621,6 +621,19 @@ def test_huge_colors_solve(capsys, tmp_path, colors):
     assert read_certificate(cert.read_text()).num_colors == colors
     code, out, _ = run(capsys, "stripe", "--k", "3", "--period", "2", "--colors", str(colors))
     assert code == 0 and "period=2: SAT" in out
+
+
+def test_main_calls_match_fresh_processes(capsys, monkeypatch):
+    """`main` builds its parser once per process; a run of in-process calls
+    answers each command as a process of its own does: usage errors, help and
+    two subcommands."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help's line width
+    commands = [["verify"], ["--help"], ["verify", str(CERT_DIR / "t09_k4.cert")],
+                ["count", "--n", "5"], ["count", "--n", "0"], ["verify", "--help"]]
+    for argv in commands:
+        proc = _trilat(*argv, timeout=60)
+        assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert build_parser() is build_parser()
 
 
 def test_render_deterministic(capsys, tmp_path):

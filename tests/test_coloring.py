@@ -1,6 +1,11 @@
+import ast
 import gc
 import itertools
+import os
 import random
+import signal
+import sys
+import threading
 import tracemalloc
 import weakref
 import warnings
@@ -12,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import format_rows_by_percent, is_proper_pairs, is_proper_scan, loop_points, reduce
 
 from trilat import coloring
+from trilat.cli import main
 from trilat.coloring import (
     CertificateError,
     Coloring,
@@ -20,6 +26,7 @@ from trilat.coloring import (
     read_certificate,
     write_certificate,
 )
+from trilat.constructions import banded_coloring, chevron_coloring
 from trilat.lattice import (
     LatticePoint,
     PeriodicStripe,
@@ -147,7 +154,10 @@ def test_periodic_stripe_reduce():
     assert len(list(points(s))) == 20
 
 
-@pytest.mark.parametrize("num_colors", [1, 254, 255, 256, 70_000])
+GRID_DTYPE_CASES = [1, 254, 255, 256, 70_000]
+
+
+@pytest.mark.parametrize("num_colors", GRID_DTYPE_CASES)
 def test_checker_grid_dtypes(num_colors):
     """The grid is uint8 up to 255 colors, then uint16, then uint32, with
     num_colors itself as the sentinel: colors next to it must not be taken
@@ -160,10 +170,13 @@ def test_checker_grid_dtypes(num_colors):
             agrees_with_scan(Coloring(region, colors, num_colors))
 
 
-@pytest.mark.parametrize("region", [
+CLIPPED_REGIONS = [
     StripeWindow(1, -30, 30), StripeWindow(2, -40, 40), StripeWindow(3, 5, 60),
     *[PeriodicStripe(k, p) for k in range(1, 7) for p in (1, 2)],
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("region", CLIPPED_REGIONS, ids=str)
 def test_checker_clipped_lookups(region):
     """Wide, short regions, whose apexes mostly fall outside the grid's rows
     and are clipped onto its border rows."""
@@ -189,6 +202,161 @@ def test_checker_memory_linear_in_stripe_period():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 6 * peaks[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checker_agrees_on_drawn_colorings(data):
+    kind = data.draw(st.sampled_from(["triangle", "window", "stripe"]))
+    if kind == "triangle":
+        region = TriangleRegion(data.draw(st.integers(1, 12)))
+    elif kind == "window":
+        x_min = data.draw(st.integers(-8, 8))
+        region = StripeWindow(data.draw(st.integers(1, 5)), x_min, x_min + data.draw(st.integers(0, 12)))
+    else:
+        region = PeriodicStripe(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6)))
+    k = data.draw(st.integers(1, 4))
+    size = region.size()
+    agrees_with_scan(Coloring(region, data.draw(st.lists(st.integers(0, k - 1), min_size=size,
+                                                         max_size=size)), k))
+
+
+def thread_every_scan(monkeypatch, cpus):
+    """Every scan takes the threaded path with one thread per CPU of `cpus`:
+    the probe threshold is 0.  Returns the thread counts of the scans."""
+    monkeypatch.setattr(coloring, "_THREAD_PROBES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    workers, first_hit = [], coloring._first_hit
+    monkeypatch.setattr(coloring, "_first_hit",
+                        lambda units, hit_of, w: workers.append(w) or first_hit(units, hit_of, w))
+    return workers
+
+
+@pytest.mark.parametrize("cpus", [4, 1])
+def test_threaded_scan_agrees_with_oracles(monkeypatch, cpus):
+    """The oracle suites again, every scan on `cpus` threads, switching between
+    threads as often as the interpreter allows: a lost update of the shared
+    counter or bound would skip a unit or misplace the witness."""
+    workers = thread_every_scan(monkeypatch, cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(1, 17):
+            test_pair_and_scan_checkers_agree(n)
+        test_stripe_window_checker()
+        test_periodic_vs_scan_randomized()
+        for num_colors in GRID_DTYPE_CASES:
+            test_checker_grid_dtypes(num_colors)
+        for region in CLIPPED_REGIONS:
+            test_checker_clipped_lookups(region)
+        test_checker_agrees_on_drawn_colorings()
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(workers) == {cpus}
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("way", ["proper", "improper", "caller raises", "worker raises",
+                                 "alarm in a unit", "alarm in the join", "a start fails"])
+def test_scan_threads_end_with_the_call(monkeypatch, way):
+    """No thread of a scan outlives it, however it ends; an exception in any
+    unit, or in the caller while it waits, reaches the caller and no thread's
+    excepthook."""
+    thread_every_scan(monkeypatch, 4)
+    c = chevron_coloring(60)
+    if way == "improper":  # the last point's color on a triangle at the top
+        colors = c.colors.copy()
+        colors[c.region.rank(np.array([0, 1, 0]), np.array([57, 57, 58]))] = colors[-1]
+        c = Coloring(c.region, colors, c.num_colors)
+    hooked, first, caller_in, worker_in = [], threading.Lock(), threading.Event(), threading.Event()
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    unit_hit = coloring._unit_hit
+
+    def unit(*args):
+        if threading.current_thread() is threading.main_thread():
+            caller_in.set()
+            if way == "caller raises":
+                raise MemoryError
+            if way == "alarm in a unit":
+                signal.raise_signal(signal.SIGALRM)
+            if way == "worker raises":
+                worker_in.wait(10)  # until a worker has raised
+        else:
+            if way == "worker raises":
+                worker_in.set()
+                raise MemoryError
+            if way in ("caller raises", "alarm in a unit"):
+                caller_in.wait(10)  # until the caller has taken a unit
+            if way == "alarm in the join" and first.acquire(blocking=False):
+                worker_in.wait(0.2)  # the caller runs out of units meanwhile
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGALRM)
+        return unit_hit(*args)
+
+    def alarm(signum, frame):
+        raise Interrupted
+
+    monkeypatch.setattr(coloring, "_unit_hit", unit)
+    if way == "a start fails":  # the second thread cannot start: the others scan on
+        start, starts = threading.Thread.start, []
+
+        def second_fails(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_fails)
+    before = threading.active_count()
+    handler = signal.signal(signal.SIGALRM, alarm)
+    try:
+        if way in ("proper", "improper", "a start fails"):
+            assert is_proper(c) == is_proper_pairs(c)
+            assert is_proper(c)[0] == (way != "improper")
+        else:
+            with pytest.raises(Interrupted if way.startswith("alarm") else MemoryError):
+                is_proper(c)
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    assert threading.active_count() == before and not hooked
+
+
+# witnesses of copies of the banded T300 coloring with one seeded triangle
+# recolored (planted), from the one-thread scan, as `trilat verify` prints them
+IMPROPER_T300_WITNESSES = [
+    [(68, 134), (82, 135), (67, 149)], [(0, 42), (112, 42), (0, 154)],
+    [(13, 8), (67, 9), (12, 63)], [(35, 4), (184, 6), (33, 155)],
+    [(46, 41), (135, 45), (42, 134)], [(57, 2), (226, 4), (55, 173)],
+    [(225, 0), (226, 37), (188, 38)], [(233, 2), (94, 46), (138, 141)],
+    [(10, 4), (283, 9), (5, 282)], [(6, 38), (217, 40), (4, 251)],
+    [(174, 69), (144, 76), (151, 99)], [(243, 3), (11, 49), (57, 235)],
+]
+
+
+def test_improper_banded_t300_witnesses_pinned(tmp_path, capsys):
+    """The witness on every CPU is the one-thread scan's: the banded T300 scan
+    has more probes than the thread threshold."""
+    base = banded_coloring(300, read_certificate((CERT_DIR / "s6_p4_k4.cert").read_text()), 6, 15,
+                           verify=False)
+    rng = random.Random("improper T300")
+    offset = rng.random()
+    for j, pinned in enumerate(IMPROPER_T300_WITNESSES):
+        color = int((j + offset) * base.num_colors / 12)
+        side = rng.randint(1, 299)
+        x = rng.randint(0, 299 - side)
+        y = rng.randint(0, 299 - side - x)
+        i = rng.randrange(side)
+        a, b = np.array([(x + i, y), (x + side - i, y + i), (x, y + side - i)]).T
+        colors = base.colors.copy()
+        colors[base.region.rank(a, b)] = color
+        path = tmp_path / f"improper_{j}.cert"
+        path.write_text(write_certificate(Coloring(base.region, colors, base.num_colors)))
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("improper: monochromatic triangle ")
+        assert ast.literal_eval(out.split("triangle ", 1)[1].strip()) == pinned
 
 
 def test_span_bound_dominates_triangle_extent():
