@@ -13,10 +13,10 @@ color symmetry break: a value may only be one more than the largest color used
 so far on the current branch.  UNSAT is reported only on exhausted search;
 budget cutoffs yield UNKNOWN.
 
-The variable choice is word-parallel: variables are renumbered by degree, and
-per-color bitsets of the variables whose domain still holds that color make
-"fewest colors, then highest degree, then first" a few big-int operations and
-a lowest-set-bit, instead of a scan over every variable at every node.
+Forward checking and the variable choice are word-parallel: variables are
+renumbered by degree, D[c] is the bitset of those whose domain holds color c,
+and an apex table holds, for each pair (v, u), the bitset of the w with a row
+(v, u, w), so a node is a few big-int operations and scans no rows.
 
 A long search runs on several processes and still returns exactly what the
 one-process search returns.  One loop, `_Search.run`, searches a *unit*: a
@@ -37,7 +37,7 @@ paused unit, and the caller coordinates:
   0..j with their untried colors, and zeroes those on its own stack.  The
   donation becomes a unit of its own, right after the donor's.  Its worker
   replays the frames' colors through the same forward checking, which
-  rebuilds the donor's domains and bitsets exactly, and runs on.  The rule
+  rebuilds the donor's bitsets and member lists exactly, and runs on.  The rule
   keeps the split near the donor's place in the order: the donor keeps a
   subtree at a depth where it has already finished one, and the thief starts
   right after it, not past the subtree of a shallow frame, which a budget
@@ -98,7 +98,7 @@ UNKNOWN = "UNKNOWN"
 MAX_SECONDS = ((1 << 31) - 1) // 1000
 
 # A search splits across processes once it has counted this many nodes
-# without a verdict.  Fork, pipe and wait take about 2 ms a worker, some 250
+# without a verdict.  Fork, pipe and wait take about 2-3 ms a worker, some 450
 # nodes' time, and every search under about 4,500 nodes (T9-T11 k3, f(9), the
 # committed certificates) stays in one process.
 SPLIT_NODES = 4608
@@ -165,7 +165,7 @@ def constraints(region: Region) -> tuple[np.ndarray, np.ndarray]:
 
 
 def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Per-variable constraint lists of n variables: partners[v].
+    """Per-variable constraint lists of n variables, for local search: partners[v].
 
     partners[v] holds one (u, w) per constraint row on v: once two of v, u, w
     share a color, the third must avoid it.  A ternary row (i, j, k) gives
@@ -211,23 +211,11 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
     search's); otherwise the internal search does.
 
     The internal search is one loop over an explicit stack with a frame per
-    assigned variable (see `_Search`).  Variables are renumbered by (degree
-    descending, rank) before the search, so "fewest colors under the cap,
-    then higher degree, then first" is the lowest set bit of a mask.  D[c] is
-    the bitset of variables whose domain still holds c and U the bitset of
-    uncolored ones; one pass over D[:cap] gives the variables with at least
-    one, two and three colors, and a bit-sliced count settles the rare node
-    where every candidate has more.  Forward checking flips a variable's bit
-    in D[c] with its domain bit, and the frame keeps the old D[c] to restore
-    it.  When several variables have no color left under the cap, the
-    lowest-numbered one is taken, not the first by rank as a scan would; the
-    choice is harmless, because that frame has nothing to try and is popped
-    before it counts a node.  The colors are mapped back to rank order for
-    the payload.
-
-    A search still running after SPLIT_NODES nodes is split across worker
-    processes when it can be (see the module docstring); its status, nodes,
-    max_depth and coloring are those of the one-process search.
+    assigned variable, over variables renumbered by degree (see `_Search`);
+    the colors are mapped back to rank order for the payload.  A search still
+    running after SPLIT_NODES nodes is split across worker processes when it
+    can be (see the module docstring); its status, nodes, max_depth and
+    coloring are those of the one-process search.
     """
     if K < 1:
         raise ValueError("K must be positive")
@@ -235,13 +223,7 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
         return _decide_external(region, K, sat_cmd, budget.max_seconds)
     stats = SolveStats()
     start = time.monotonic()
-    ternary, binary = constraints(region)
-    n = region.size()
-    degree = np.bincount(ternary.ravel(), minlength=n) + np.bincount(binary.ravel(), minlength=n)
-    order = np.argsort(-degree, kind="stable")  # search index -> rank
-    index = np.empty(n, dtype=np.int64)         # rank -> search index
-    index[order] = np.arange(n)
-    search = _Search(n, K, constraint_lists(n, index[ternary], index[binary]))
+    search = _Search(region, K)
     # the node budget is checked where a node is counted, so it is never overshot
     limit = budget.max_nodes if budget.max_nodes is not None else sys.maxsize
     # one worker per usable CPU, where the platform can fork
@@ -265,9 +247,7 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
     stats.budget_exhausted = status == UNKNOWN
     if status != SAT:
         return SolveOutcome(status, None, stats)
-    by_rank = np.empty(n, dtype=np.int64)
-    by_rank[order] = colors
-    coloring = Coloring(region, by_rank, K)
+    coloring = Coloring(region, np.array(colors)[search.index], K)
     ok, witness = is_proper(coloring)
     if not ok:
         raise RuntimeError(f"solver produced improper coloring, witness {witness}")
@@ -276,21 +256,44 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
 
 class _Search:
     """One exact search: its constraint index, the current partial coloring
-    (domains, colors, the D bitsets and the uncolored bitset U) and the unit
-    it searches, a contiguous stretch of the depth-first order.
+    and the unit it searches, a contiguous stretch of the depth-first order.
+
+    The index numbers the variables by (degree descending, rank), `index`
+    mapping a rank to its search index, so "fewest colors under the cap, then
+    higher degree, then first" is the lowest set bit of a mask.  apex[v][u] is
+    the bitset of the w with a row (v, u, w), a binary row (i, j) acting as
+    (i, i, j); an entry with a single w is the shared bits[w].
+
+    The partial coloring is `color`; D[c], the bitset of the variables whose
+    domain still holds c; U, that of the uncolored ones; and members[c], the
+    variables colored c, last colored last.  Coloring v with c takes from D[c]
+    the uncolored variables in the OR of apex[v][v] and of apex[v][u] for the
+    members u of c; one then left in no D has a wiped-out domain.
 
     The unit is `stack`, its frames [variable, untried color bits, the
-    largest color used above it, the variables its color was removed from,
-    D[color] before that removal, the color bits the frame started with];
-    `script`, frames still to push, last first; `nodes`, the nodes counted;
-    and `records`, one (nodes, depth) pair for each new maximum depth.  The
-    frames below the unit's base have no untried colors, so the unit ends
-    when its stack empties.
+    largest color used above it, D[color] before its color was set, the
+    color bits the frame started with]; `script`, frames still to push, last
+    first; `nodes`, the nodes counted; and `records`, one (nodes, depth) pair
+    for each new maximum depth.  The frames below the unit's base have no
+    untried colors, so the unit ends when its stack empties.
     """
 
-    def __init__(self, n: int, K: int, partners: list[list[tuple[int, int]]]):
-        self.n, self.K, self.partners = n, K, partners
-        self.bits = [1 << v for v in range(n)]
+    def __init__(self, region: Region, K: int):
+        ternary, binary = constraints(region)
+        self.n = n = region.size()
+        degree = np.bincount(np.concatenate([ternary, binary], axis=None), minlength=n)
+        self.index = index = np.argsort(np.argsort(-degree, kind="stable"))  # rank -> search index
+        self.K, self.bits = K, [1 << v for v in range(n)]
+        # (v * n + u) * n + w for each row (v, u, w) in search numbering: a
+        # ternary row six ways, a binary row (i, j) as (i, i, j) and (j, j, i)
+        vuw = np.concatenate([ternary[:, [0, 1, 2, 0, 2, 1, 1, 0, 2, 1, 2, 0, 2, 0, 1, 2, 1, 0]],
+                              binary[:, [0, 0, 1, 1, 1, 0]]], axis=None).reshape(-1, 3)
+        key, w = np.divmod(np.sort(index[vuw] @ [n * n, n, 1]), n)
+        del ternary, binary, vuw
+        starts = np.flatnonzero(np.diff(key, prepend=-1))  # each (v, u)'s first row
+        table = np.zeros(n * n, dtype=object)
+        table[key[starts]] = np.bitwise_or.reduceat(np.array(self.bits, dtype=object)[w], starts)
+        self.apex = table.reshape(n, n).tolist()
         self.start(())
 
     def start(self, frames: Sequence[tuple[int, int, int]]) -> None:
@@ -300,15 +303,15 @@ class _Search:
 
         Frames 0..j-1 are pushed with their color ahead of their untried ones
         and frame j with its untried ones alone, so replaying the colors
-        (counted from -j up to 0) rebuilds the donor's domains and D bitsets
-        and leaves this unit what the donor gave away.
+        (counted from -j up to 0) rebuilds the donor's D bitsets and member
+        lists and leaves this unit what the donor gave away.
         """
         n = self.n
         # the color cap is at most n while a variable is uncolored, so no
         # color from n on is ever tried
         k = min(self.K, n)
-        self.dom = [(1 << k) - 1] * n
         self.color = [-1] * n
+        self.members = [[] for _ in range(k)]
         self.D = [(1 << n) - 1] * k  # D[c]: the variables whose domain holds c
         self.U = (1 << n) - 1        # the uncolored variables
         self.script = [(v, untried) for v, _, untried in frames[-1:]]
@@ -324,8 +327,8 @@ class _Search:
         time CHECK_EVERY more nodes have been counted, at the next point where
         every frame is colored, and a unit it stops can be run on.
         """
-        n, K, partners, bits = self.n, self.K, self.partners, self.bits
-        dom, color, D, U = self.dom, self.color, self.D, self.U
+        n, K, apex, bits = self.n, self.K, self.apex, self.bits
+        color, members, D, U = self.color, self.members, self.D, self.U
         stack, script, records, nodes = self.stack, self.script, self.records, self.nodes
         max_depth = records[-1][1] if records else 0
         check_at = max(nodes, 0) + CHECK_EVERY  # never while a script replays
@@ -360,21 +363,23 @@ class _Search:
                     ge1 |= d
                 cand = U & ~ge1 or U & ~ge2 or U & ~ge3 or _fewest_colors(D[:cap], U)
                 v = (cand & -cand).bit_length() - 1
-                untried = dom[v] & ((1 << cap) - 1)
-            stack.append([v, untried, max_used, (), 0, untried])
+                bit = bits[v]
+                untried = 0
+                for c in range(cap):
+                    if D[c] & bit:
+                        untried |= 1 << c
+            stack.append([v, untried, max_used, 0, untried])
             # undo the top frame's color and give it the next one that survives
             # forward checking; pop frames that run out of colors
             while stack:
                 frame = stack[-1]
-                v, untried, _, removed, saved, _ = frame
+                v, untried, _, saved, _ = frame
                 c = color[v]
                 if c >= 0:
                     color[v] = -1
                     U |= bits[v]
                     D[c] = saved
-                    bit = 1 << c
-                    for x in removed:
-                        dom[x] |= bit
+                    members[c].pop()
                 if not untried:
                     stack.pop()
                     continue
@@ -384,28 +389,23 @@ class _Search:
                 bit = untried & -untried
                 c = bit.bit_length() - 1
                 frame[1] = untried ^ bit
-                frame[3] = removed = []
-                frame[4] = Dc = D[c]
+                frame[3] = Dc = D[c]
                 nodes += 1
                 color[v] = c
                 U ^= bits[v]
-                for (u, w) in partners[v]:
-                    if color[u] == c:
-                        x = w
-                    elif color[w] == c:
-                        x = u
-                    else:
-                        continue
-                    if color[x] == c:
-                        break  # a monochromatic constraint: next color
-                    if color[x] < 0 and dom[x] & bit:
-                        dom[x] ^= bit
-                        Dc ^= bits[x]
-                        removed.append(x)
-                        if not dom[x]:
-                            break  # a wiped-out domain: next color
-                else:
-                    D[c] = Dc
+                # no row turns monochromatic: its third variable lost c when its second took it
+                av = apex[v]
+                forced = av[v]
+                for u in members[c]:
+                    forced |= av[u]
+                members[c].append(v)
+                gone = forced & Dc & U
+                D[c] = Dc ^ gone
+                for d in D:  # drop the variables that still hold a color; any left are wiped out
+                    if not gone:
+                        break
+                    gone &= ~d
+                if not gone:
                     break  # consistent: pick the next variable
             else:
                 end = EXHAUSTED
@@ -424,7 +424,7 @@ class _Search:
         """
         frames = [(f[0], self.color[f[0]], f[1]) for f in self.stack]
         backtracked = [i for i, (f, (_, c, _)) in enumerate(zip(self.stack, frames))
-                       if f[5] & ((1 << c) - 1)]
+                       if f[4] & ((1 << c) - 1)]
         top = backtracked[0] if backtracked else 0
         candidates = [i for i, (_, _, untried) in enumerate(frames) if untried and i >= top]
         if not candidates:

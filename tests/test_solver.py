@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 from trilat.coloring import Coloring, color_count, is_proper, write_certificate
-from trilat.lattice import LatticePoint, PeriodicStripe, TriangleRegion
+from trilat.lattice import LatticePoint, PeriodicStripe, StripeWindow, TriangleRegion
 from trilat.solver import (
     SAT,
     UNKNOWN,
     UNSAT,
     Budget,
     _fewest_colors,
+    _Search,
     compute_f,
     constraint_lists,
     constraints,
@@ -82,29 +83,66 @@ def test_backtracking_agrees_with_exhaustive(n, k):
 STRIPE_S6_K3_NODES = [3, 18, 75, 171, 461, 2205, 7071, 15703, 20313, 22960, 24328, 25144]
 
 
-@pytest.mark.parametrize("solve,status,nodes,sha", [
-    *[(lambda n=n: decide_k_colorable(TriangleRegion(n), 3), UNSAT, nodes, None)
-      for n, nodes in [(9, 4193), (10, 3810), (11, 3919)]],
-    *[(lambda p=p: solve_periodic_stripe(6, p, 3), UNSAT, nodes, None)
-      for p, nodes in enumerate(STRIPE_S6_K3_NODES, start=1)],
-    (lambda: decide_k_colorable(TriangleRegion(12), 4), SAT, 762, "578805bbef3c63d9"),
-    (lambda: decide_k_colorable(TriangleRegion(9), 3, Budget(max_nodes=5)), UNKNOWN, 5, None),
-    (lambda: decide_k_colorable(TriangleRegion(16), 5), SAT, 39731, "c330a717aa8a8f5d"),
-    (lambda: solve_periodic_stripe(6, 4, 4), SAT, 787, "666eaa66c7f704bc"),
-    (lambda: decide_k_colorable(TriangleRegion(45), 23), SAT, 1035, "c35e91da94c28940"),
-    (lambda: decide_k_colorable(TriangleRegion(12), 4, Budget(max_nodes=77)), UNKNOWN, 77, None),
+STRIPE_S6_K3_DEPTHS = [2, 5, 8, 10, 16, 18, 21, 24, 27, 28, 31, 32]
+
+
+@pytest.mark.parametrize("solve,status,nodes,max_depth,sha", [
+    *[(lambda n=n: decide_k_colorable(TriangleRegion(n), 3), UNSAT, nodes, depth, None)
+      for n, nodes, depth in [(9, 4193, 22), (10, 3810, 21), (11, 3919, 24)]],
+    *[(lambda p=p: solve_periodic_stripe(6, p, 3), UNSAT, nodes, depth, None)
+      for p, (nodes, depth) in enumerate(zip(STRIPE_S6_K3_NODES, STRIPE_S6_K3_DEPTHS), start=1)],
+    (lambda: decide_k_colorable(TriangleRegion(12), 4), SAT, 762, 78, "578805bbef3c63d9"),
+    (lambda: decide_k_colorable(TriangleRegion(9), 3, Budget(max_nodes=5)), UNKNOWN, 5, 5, None),
+    (lambda: decide_k_colorable(TriangleRegion(16), 5), SAT, 39731, 136, "c330a717aa8a8f5d"),
+    (lambda: solve_periodic_stripe(6, 4, 4), SAT, 787, 24, "666eaa66c7f704bc"),
+    (lambda: decide_k_colorable(TriangleRegion(45), 23), SAT, 1035, 1035, "c35e91da94c28940"),
+    (lambda: decide_k_colorable(TriangleRegion(12), 4, Budget(max_nodes=77)), UNKNOWN, 77, 42, None),
 ], ids=["T9k3", "T10k3", "T11k3", *[f"S6p{p}k3" for p in range(1, 13)], "T12k4", "T9k3-budget5",
         "T16k5", "S6p4k4", "T45k23", "T12k4-budget77"])
-def test_search_order_pinned(solve, status, nodes, sha):
-    """Status, node count and SAT certificate (sha256 prefix) of the exact
-    search: any change to the variable or color order, the pruning or the
-    budget check moves these, and so does a renumbering slip that still
-    returns some other proper coloring."""
+def test_search_order_pinned(solve, status, nodes, max_depth, sha):
+    """Status, node count, max_depth and SAT certificate (sha256 prefix) of
+    the exact search: any change to the variable or color order, the pruning,
+    the point where a wiped-out domain is found or the budget check moves
+    these, and so does a renumbering slip that still returns some other
+    proper coloring."""
     out = solve()
-    assert (out.status, out.stats.nodes) == (status, nodes)
+    assert (out.status, out.stats.nodes, out.stats.max_depth) == (status, nodes, max_depth)
     assert out.stats.budget_exhausted == (status == UNKNOWN)
     cert = write_certificate(out.coloring) if out.coloring is not None else None
     assert (cert and hashlib.sha256(cert.encode()).hexdigest()[:16]) == sha
+
+
+@pytest.mark.parametrize("region", [
+    *[TriangleRegion(n) for n in range(1, 13)],
+    PeriodicStripe(3, 2), PeriodicStripe(4, 3), PeriodicStripe(6, 1), PeriodicStripe(6, 12),
+    StripeWindow(3, -4, 2), StripeWindow(4, -3, 6),
+], ids=repr)
+def test_apex_table_matches_rows(region):
+    """The search's apex table, against a loop over the rows of
+    `constraints` under the (degree descending, rank) numbering: apex[v][u]
+    holds the w of each row (v, u, w), a binary row (i, j) acting as (i, i, j),
+    and every other entry is 0.  An entry with one w is bits[w] itself, not a
+    copy."""
+    search = _Search(region, 3)
+    ternary, binary = constraints(region)
+    n = region.size()
+    degree = [0] * n
+    for row in ternary.tolist() + binary.tolist():
+        for r in row:
+            degree[r] += 1
+    order = sorted(range(n), key=lambda r: (-degree[r], r))
+    assert search.index.tolist() == [order.index(r) for r in range(n)]
+    index, bits = search.index.tolist(), search.bits
+    expected = [[0] * n for _ in range(n)]
+    for row in ternary.tolist():
+        for v, u, w in itertools.permutations(row):
+            expected[index[v]][index[u]] |= bits[index[w]]
+    for i, j in binary.tolist():
+        expected[index[i]][index[i]] |= bits[index[j]]
+        expected[index[j]][index[j]] |= bits[index[i]]
+    assert search.apex == expected
+    singles = [a for row in search.apex for a in row if a and not a & (a - 1)]
+    assert all(a is bits[a.bit_length() - 1] for a in singles)
 
 
 def test_fewest_colors_matches_popcount():
