@@ -29,7 +29,7 @@ that `coloring.usable_cpus` counts (up to 4).  Worker 0 runs on with the
 paused unit, and the caller coordinates:
 
 - Stealing.  An idle worker waits while the worker of the earliest running
-  unit, in depth-first order, is asked to donate; workers read their pipe
+  unit, in depth-first order, is asked to donate; workers poll their pipe
   every CHECK_EVERY nodes.  The donor picks a frame j: the shallowest frame
   with untried colors at or below the shallowest frame that has tried more
   than one color, or, with no such frame, the deepest frame with untried
@@ -55,7 +55,8 @@ paused unit, and the caller coordinates:
   with one process or several, and is not reproducible.
 
 Workers are forked children of the caller that leave only by os._exit, and
-the caller kills and reaps every one of them on every way out.
+the caller kills and reaps every one of them on every way out; each talks to
+it over a duplex `multiprocessing.connection` pipe.
 
 Instances beyond the internal solver's reach can be exported as DIMACS CNF and
 handed to any SAT-competition-style solver via a subprocess command; a solver
@@ -65,12 +66,9 @@ that outlives its time budget is killed with every process it started.
 from __future__ import annotations
 
 import os
-import pickle
 import random
-import select
 import shlex
 import signal
-import struct
 import subprocess
 import sys
 import tempfile
@@ -98,9 +96,9 @@ UNKNOWN = "UNKNOWN"
 MAX_SECONDS = ((1 << 31) - 1) // 1000
 
 # A search splits across processes once it has counted this many nodes
-# without a verdict.  Fork, pipe and wait take about 2-3 ms a worker, some 450
-# nodes' time, and every search under about 4,500 nodes (T9-T11 k3, f(9), the
-# committed certificates) stays in one process.
+# without a verdict.  Fork, pipe and wait take 2-3 ms a worker (and the first
+# split imports multiprocessing, 8-10 ms), and every search under about 4,500
+# nodes (T9-T11 k3, f(9), the committed certificates) stays in one process.
 SPLIT_NODES = 4608
 CHECK_EVERY = 256  # nodes between deadline checks, and a worker's pipe polls
 
@@ -162,25 +160,6 @@ def constraints(region: Region) -> tuple[np.ndarray, np.ndarray]:
     ternary = np.unique(cells[distinct], axis=0).reshape(-1, 3)
     binary = np.unique(cells[~distinct][:, [0, 2]], axis=0).reshape(-1, 2)
     return ternary, binary
-
-
-def constraint_lists(n: int, ternary: np.ndarray, binary: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Per-variable constraint lists of n variables, for local search: partners[v].
-
-    partners[v] holds one (u, w) per constraint row on v: once two of v, u, w
-    share a color, the third must avoid it.  A ternary row (i, j, k) gives
-    (j, k), (i, k) and (i, j); a binary row (i, j) acts as (i, i, j), giving
-    (i, j) to i and (j, i) to j.  Every list holds the ternary rows first and
-    then the binary rows, each in row order.
-    """
-    # (v, u, w) once per variable of each row, rows in order
-    vuw = np.concatenate([ternary[:, [0, 1, 2, 1, 0, 2, 2, 0, 1]].reshape(-1, 3),
-                          binary[:, [0, 0, 1, 1, 1, 0]].reshape(-1, 3)])
-    order = np.argsort(vuw[:, 0], kind="stable")
-    ends = np.cumsum(np.bincount(vuw[:, 0], minlength=n)).tolist()
-    pairs = list(zip(vuw[order, 1].tolist(), vuw[order, 2].tolist()))
-    del vuw, order
-    return [pairs[s:e] for s, e in zip([0] + ends[:-1], ends)]
 
 
 def _fewest_colors(ds: list[int], candidates: int) -> int:
@@ -461,47 +440,25 @@ def _merge(reports: Sequence[Optional[tuple]], limit: int) -> Optional[tuple]:
     return UNSAT, total, depth, None
 
 
-def _send(fd: int, kind: str, value=None) -> None:
-    data = pickle.dumps((kind, value), pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _recv(fd: int) -> tuple:
-    """The (kind, value) message that `_send` wrote to the other end of a pipe."""
-
-    def read(size):
-        data = b""
-        while len(data) < size:
-            chunk = os.read(fd, size - len(data))
-            if not chunk:
-                raise RuntimeError("a search process closed its pipe")
-            data += chunk
-        return data
-
-    return pickle.loads(read(int.from_bytes(read(8), "little")))
-
-
 def _work(search: _Search, busy: bool, limit: int, deadline: Optional[float],
-          rfd: int, wfd: int, shared, slot: int) -> None:
+          conn, counts, slot: int) -> None:
     """A worker's loop: run each unit it is given and report it, until killed.
 
     Messages are read in the same check as the deadline.  A request to
     donate stays pending until a frame qualifies or the unit ends; a unit
     told the nodes it has left before the budget stops once past them, since
     the cut then falls inside it.  The worker's node count so far is kept in
-    `shared`, for work_nodes.
+    counts[slot], for work_nodes.
     """
     done = 0
 
     def check(nodes):
         nonlocal pending, left
-        struct.pack_into("q", shared, 8 * slot, done + max(nodes, 0))
+        counts[slot] = done + max(nodes, 0)
         if deadline is not None and time.monotonic() > deadline:
             return TIMED_OUT
-        while select.select([rfd], [], [], 0)[0]:
-            kind, value = _recv(rfd)  # "donate" or "left": a busy worker gets no unit
+        while conn.poll():
+            kind, value = conn.recv()  # "donate" or "left": a busy worker gets no unit
             if kind == "left":
                 left = value
             else:
@@ -509,20 +466,20 @@ def _work(search: _Search, busy: bool, limit: int, deadline: Optional[float],
         if nodes > left:
             return CUT
         if pending and (frames := search.donate()):
-            _send(wfd, "give", frames)
+            conn.send(("give", frames))
             pending = False
         return None
 
     while True:
         if not busy:
-            while (message := _recv(rfd))[0] != "unit":
+            while (message := conn.recv())[0] != "unit":
                 pass  # a message that crossed this worker's last report
             search.start(message[1])
         pending, left, busy = False, limit, False
         report = search.run(limit, check)
         done += search.nodes
-        struct.pack_into("q", shared, 8 * slot, done)
-        _send(wfd, "report", report)
+        counts[slot] = done
+        conn.send(("report", report))
 
 
 def _split(search: _Search, limit: int, deadline: Optional[float],
@@ -535,27 +492,25 @@ def _split(search: _Search, limit: int, deadline: Optional[float],
     running unit, in depth-first order, is asked to donate; a donation
     becomes the unit right after the donor's.  Once every unit before the
     first running one is exhausted, that one is told the nodes it has left.
-    Every way out kills and reaps every worker.
+    Every way out kills and reaps every worker; a worker that dies makes the
+    call raise EOFError or an OSError such as ConnectionResetError.
     """
-    import mmap  # a split search alone needs it
+    import mmap  # a split search alone needs these
+    from multiprocessing.connection import Pipe, wait
 
     inbox = []  # (worker, message) pairs: first, unit 0's first donations, made here
     while len(inbox) < workers - 1 and (frames := search.donate()):
         inbox.append((0, ("give", frames)))
-    with mmap.mmap(-1, 8 * workers) as shared:  # each worker's node count
-        struct.pack_into("q", shared, 0, search.nodes)
+    # each worker's node count, the view released before the map closes
+    with mmap.mmap(-1, 8 * workers) as shared, memoryview(shared).cast("q") as counts:
+        counts[0] = search.nodes
         pids: list[int] = []
-        to: list[int] = []    # the parent's write end of each worker's pipe
-        frm: list[int] = []   # and its read end
+        conns = []  # the parent's end of each worker's pipe
         try:
             for w in range(workers):
-                child_r, to_w = os.pipe()
-                to.append(to_w)
-                ends = [child_r]  # the child's ends, which the parent closes
+                ours, theirs = Pipe()
+                conns.append(ours)
                 try:
-                    frm_w, child_w = os.pipe()
-                    frm.append(frm_w)
-                    ends.append(child_w)
                     with warnings.catch_warnings():
                         # numpy's BLAS pool makes this process multi-threaded,
                         # and Python 3.12+ warns at fork: a worker runs only
@@ -566,15 +521,14 @@ def _split(search: _Search, limit: int, deadline: Optional[float],
                         pid = os.fork()
                     if pid == 0:
                         try:
-                            for fd in to + frm:
-                                os.close(fd)
-                            _work(search, w == 0, limit, deadline, child_r, child_w, shared, w)
+                            for c in conns:
+                                c.close()
+                            _work(search, w == 0, limit, deadline, theirs, counts, w)
                         finally:
                             os._exit(1)
                     pids.append(pid)
                 finally:
-                    for fd in ends:
-                        os.close(fd)
+                    theirs.close()
             order = [0]                               # unit ids in depth-first order
             holder = [0] + [None] * (workers - 1)     # the unit each worker runs
             reports: dict[int, tuple] = {}
@@ -586,7 +540,7 @@ def _split(search: _Search, limit: int, deadline: Optional[float],
                         # a worker is asked to donate only while another is idle
                         thief = holder.index(None)
                         holder[thief] = len(order) - 1
-                        _send(to[thief], "unit", value)
+                        conns[thief].send(("unit", value))
                     else:
                         reports[holder[w]], holder[w] = value, None
                     if asked == w:
@@ -597,12 +551,12 @@ def _split(search: _Search, limit: int, deadline: Optional[float],
                 if limit < sys.maxsize and order[first] != told:
                     told = order[first]
                     left = limit - sum(reports[u][1] for u in order[:first])
-                    _send(to[holder.index(told)], "left", left)
+                    conns[holder.index(told)].send(("left", left))
                 if asked is None and None in holder:
                     asked = min((w for w, u in enumerate(holder) if u is not None),
                                 key=lambda w: order.index(holder[w]))
-                    _send(to[asked], "donate")
-                inbox = [(frm.index(fd), _recv(fd)) for fd in select.select(frm, [], [])[0]]
+                    conns[asked].send(("donate", None))
+                inbox = [(conns.index(c), c.recv()) for c in wait(conns)]
         finally:
             for pid in pids:
                 with suppress(ProcessLookupError):
@@ -610,9 +564,9 @@ def _split(search: _Search, limit: int, deadline: Optional[float],
             for pid in pids:
                 with suppress(ChildProcessError):  # reaped already, where SIGCHLD is ignored
                     os.waitpid(pid, 0)
-            for fd in to + frm:
-                os.close(fd)
-        work = sum(struct.unpack_from(f"{workers}q", shared))
+            for c in conns:
+                c.close()
+        work = sum(counts)
     return verdict, work
 
 
@@ -855,14 +809,17 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
     rng = random.Random(seed)
     ternary, binary = constraints(region)
     n = region.size()
-    partners = constraint_lists(n, ternary, binary)
     # each row's vertices by row id, for the monochromatic test and the draw
     # of the vertex to move; a binary row (i, j) is (i, j, j) here
     groups = np.concatenate([ternary, binary[:, [0, 1, 1]]]).tolist()
     groups_of = [[] for _ in range(n)]  # the ids of the rows on each variable, in row order
+    partners = [[] for _ in range(n)]   # and, in the same order, their other two vertices
     for g, row in enumerate(groups):
         for v in set(row):
             groups_of[v].append(g)
+            others = row.copy()
+            others.remove(v)
+            partners[v].append(others)
 
     for _ in range(max(1, restarts)):
         colors = [rng.randrange(K) for _ in range(n)]

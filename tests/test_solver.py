@@ -4,6 +4,7 @@ import os
 import random
 import shlex
 import signal
+import subprocess
 import sys
 import time
 import warnings
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from trilat import solver
 from trilat.coloring import Coloring, color_count, is_proper, write_certificate
 from trilat.lattice import LatticePoint, PeriodicStripe, StripeWindow, TriangleRegion
 from trilat.solver import (
@@ -21,7 +23,6 @@ from trilat.solver import (
     _fewest_colors,
     _Search,
     compute_f,
-    constraint_lists,
     constraints,
     decide_k_colorable,
     export_dimacs,
@@ -253,28 +254,6 @@ def test_clauses_match_reference(region, k):
 
 def test_stripe_s3p2_has_binary_rows():
     assert len(constraints(PeriodicStripe(3, 2))[1]) > 0
-
-
-@pytest.mark.parametrize("region,sha", [
-    (TriangleRegion(9), "02e3dd8854d5b943"),
-    (TriangleRegion(20), "5ec8f71f6c99e253"),
-    (PeriodicStripe(6, 12), "63d69992f4979609"),
-], ids=["T9", "T20", "S6p12"])
-def test_constraint_lists_pinned(region, sha):
-    """The partner lists, against a loop over the rows in order (ternary, then
-    binary as (i, i, j)) and against a sha256 prefix of their repr."""
-    ternary, binary = constraints(region)
-    partners = constraint_lists(region.size(), ternary, binary)
-    expected = [[] for _ in range(region.size())]
-    for i, j, k in ternary.tolist():
-        expected[i].append((j, k))
-        expected[j].append((i, k))
-        expected[k].append((i, j))
-    for i, j in binary.tolist():
-        expected[i].append((i, j))
-        expected[j].append((j, i))
-    assert partners == expected
-    assert hashlib.sha256(repr(partners).encode()).hexdigest()[:16] == sha
 
 
 def test_var_mapping():
@@ -523,9 +502,17 @@ class _Interrupt(Exception):
     pass
 
 
+def _open_fds():
+    """The number of this process's open file descriptors, or None where
+    /proc/self/fd is absent."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 @pytest.mark.parametrize("case", ["SAT", "UNSAT", "budget", "deadline", "exception"])
 def test_split_search_leaves_no_process(case):
-    """Every way out of a split search kills and reaps its workers."""
+    """Every way out of a split search kills and reaps its workers and
+    closes every pipe end it opened."""
+    fds = _open_fds()
     if case == "SAT":
         assert decide_k_colorable(TriangleRegion(16), 5).status == SAT
     elif case == "UNSAT":
@@ -551,6 +538,36 @@ def test_split_search_leaves_no_process(case):
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
     _no_children_left()
+    assert _open_fds() == fds
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the search splits only where it can fork")
+def test_split_search_raises_when_a_worker_dies(monkeypatch):
+    # worker 1 dies before it reads its first unit: the caller raises at
+    # once, with no worker and no pipe end left behind
+    work = solver._work  # its last argument is the worker's slot
+    monkeypatch.setattr(solver, "_work", lambda *a: os._exit(3) if a[-1] == 1 else work(*a))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fds = _open_fds()
+    start = time.monotonic()
+    with pytest.raises((EOFError, OSError)):
+        decide_k_colorable(TriangleRegion(13), 4, Budget(max_seconds=30))
+    assert time.monotonic() - start < 5
+    _no_children_left()
+    assert _open_fds() == fds
+
+
+def test_unsplit_search_imports_no_multiprocessing():
+    # only a split search pays for multiprocessing's import
+    code = ("import sys, trilat.cli, trilat.solver\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            "from trilat.lattice import TriangleRegion\n"
+            "assert trilat.solver.decide_k_colorable(TriangleRegion(9), 3).status == 'UNSAT'\n"
+            "assert 'multiprocessing' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_split_search_warns_nothing():
