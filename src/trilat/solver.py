@@ -16,7 +16,8 @@ budget cutoffs yield UNKNOWN.
 Forward checking and the variable choice are word-parallel: variables are
 renumbered by degree, D[c] is the bitset of those whose domain holds color c,
 and an apex table holds, for each pair (v, u), the bitset of the w with a row
-(v, u, w), so a node is a few big-int operations and scans no rows.
+(v, u, w), so a node is a few big-int operations and scans no rows; most
+variable choices end at the uncolored variables with one color left.
 
 A long search runs on several processes and still returns exactly what the
 one-process search returns.  One loop, `_Search.run`, searches a *unit*: a
@@ -96,9 +97,10 @@ UNKNOWN = "UNKNOWN"
 MAX_SECONDS = ((1 << 31) - 1) // 1000
 
 # A search splits across processes once it has counted this many nodes
-# without a verdict.  Fork, pipe and wait take 2-3 ms a worker (and the first
-# split imports multiprocessing, 8-10 ms), and every search under about 4,500
-# nodes (T9-T11 k3, f(9), the committed certificates) stays in one process.
+# without a verdict.  Fork, pipe, first message and reaping take 4-6 ms a
+# worker on a 2-CPU Linux box, 1,200-1,800 T13 k4 nodes in one process (the
+# first split also imports multiprocessing, 8-10 ms), and every search under
+# 4,500 nodes (T9-T11 k3, f(9), the certificates) stays in one process.
 SPLIT_NODES = 4608
 CHECK_EVERY = 256  # nodes between deadline checks, and a worker's pipe polls
 
@@ -127,6 +129,7 @@ class SolveStats:
     max_depth: int = 0    # most variables colored at once
     budget_exhausted: bool = False
     work_nodes: int = 0   # nodes counted by every process, discarded speculation too
+    verify_s: float = 0.0  # checking a SAT answer, outside elapsed; 0 without one
 
 
 @dataclass
@@ -227,7 +230,9 @@ def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
     if status != SAT:
         return SolveOutcome(status, None, stats)
     coloring = Coloring(region, np.array(colors)[search.index], K)
+    verify_start = time.monotonic()
     ok, witness = is_proper(coloring)
+    stats.verify_s = time.monotonic() - verify_start
     if not ok:
         raise RuntimeError(f"solver produced improper coloring, witness {witness}")
     return SolveOutcome(SAT, coloring, stats)
@@ -239,9 +244,10 @@ class _Search:
 
     The index numbers the variables by (degree descending, rank), `index`
     mapping a rank to its search index, so "fewest colors under the cap, then
-    higher degree, then first" is the lowest set bit of a mask.  apex[v][u] is
-    the bitset of the w with a row (v, u, w), a binary row (i, j) acting as
-    (i, i, j); an entry with a single w is the shared bits[w].
+    higher degree, then first" is the lowest set bit of a mask made from
+    bit-planes of the color counts.  apex[v][u] is the bitset of the w with a
+    row (v, u, w), a binary row (i, j) acting as (i, i, j); an entry with a
+    single w is the shared bits[w].
 
     The partial coloring is `color`; D[c], the bitset of the variables whose
     domain still holds c; U, that of the uncolored ones; and members[c], the
@@ -310,6 +316,8 @@ class _Search:
         color, members, D, U = self.color, self.members, self.D, self.U
         stack, script, records, nodes = self.stack, self.script, self.records, self.nodes
         max_depth = records[-1][1] if records else 0
+        # the largest color used on this branch: a color may be at most one more
+        max_used = max(stack[-1][2], color[stack[-1][0]]) if stack else -1
         check_at = max(nodes, 0) + CHECK_EVERY  # never while a script replays
         end = None
         while end is None:
@@ -325,34 +333,43 @@ class _Search:
                 end = check(nodes)
                 if end is not None:
                     break
-            # a color may be at most one more than the largest used on this branch
-            max_used = max(stack[-1][2], color[stack[-1][0]]) if stack else -1
             if script:
                 v, untried = script.pop()
             else:
-                cap = min(K, max_used + 2)
+                Dcap = D if max_used + 2 >= K else D[:max_used + 2]  # the colors under the cap
                 # the most constrained variable, ties to the higher degree: the
                 # lowest bit of the uncolored variables with the fewest colors
-                # under the cap (with none left, any one will do: its frame is
-                # popped at once)
-                ge1 = ge2 = ge3 = 0
-                for d in D[:cap]:
-                    ge3 |= ge2 & d
+                # under the cap.  Every one has some: below K, color max_used + 1
+                # has no member on the branch, so its D is full, and at K the
+                # wipe-out check after each coloring left a color to every
+                # variable that coloring touched
+                ge1 = ge2 = 0
+                for d in Dcap:
                     ge2 |= ge1 & d
                     ge1 |= d
-                cand = U & ~ge1 or U & ~ge2 or U & ~ge3 or _fewest_colors(D[:cap], U)
+                cand = one = U & ~ge2  # one color left: most choices end here
+                if not one:
+                    ge1 = ge2 = ge3 = 0
+                    for d in Dcap:
+                        ge3 |= ge2 & d
+                        ge2 |= ge1 & d
+                        ge1 |= d
+                    cand = U & ~ge3 or _fewest_colors(Dcap, U)
                 v = (cand & -cand).bit_length() - 1
                 bit = bits[v]
-                untried = 0
-                for c in range(cap):
-                    if D[c] & bit:
-                        untried |= 1 << c
+                untried, cbit = 0, 1
+                for d in Dcap:
+                    if d & bit:
+                        untried |= cbit
+                        if one:
+                            break
+                    cbit <<= 1
             stack.append([v, untried, max_used, 0, untried])
             # undo the top frame's color and give it the next one that survives
             # forward checking; pop frames that run out of colors
             while stack:
                 frame = stack[-1]
-                v, untried, _, saved, _ = frame
+                v, untried, above, saved, _ = frame
                 c = color[v]
                 if c >= 0:
                     color[v] = -1
@@ -375,9 +392,10 @@ class _Search:
                 # no row turns monochromatic: its third variable lost c when its second took it
                 av = apex[v]
                 forced = av[v]
-                for u in members[c]:
+                mc = members[c]
+                for u in mc:
                     forced |= av[u]
-                members[c].append(v)
+                mc.append(v)
                 gone = forced & Dc & U
                 D[c] = Dc ^ gone
                 for d in D:  # drop the variables that still hold a color; any left are wiped out
@@ -385,6 +403,7 @@ class _Search:
                         break
                     gone &= ~d
                 if not gone:
+                    max_used = c if c > above else above
                     break  # consistent: pick the next variable
             else:
                 end = EXHAUSTED
@@ -775,7 +794,8 @@ def run_sat_command(sat_cmd: str, dimacs: Iterable[str],
 def _decide_external(region: Region, K: int, sat_cmd: str,
                      timeout: Optional[float]) -> SolveOutcome:
     """`decide_k_colorable` by an external SAT solver; `build_s` is the export
-    and writing its DIMACS text, `elapsed` the solver run."""
+    and writing its DIMACS text, `elapsed` the solver run and `verify_s`
+    `import_assignment`, which projects the model and checks it."""
     stats = SolveStats()
     start = time.monotonic()
     cnf = export_dimacs(region, K)
@@ -786,12 +806,16 @@ def _decide_external(region: Region, K: int, sat_cmd: str,
         written.append(time.monotonic())
 
     status, model, stderr = run_sat_command(sat_cmd, chunks(), timeout)
-    stats.build_s, stats.elapsed = written[0] - start, time.monotonic() - written[0]
+    done = time.monotonic()
+    stats.build_s, stats.elapsed = written[0] - start, done - written[0]
     if status == SAT:
         try:
-            return SolveOutcome(SAT, import_assignment(cnf, model), stats)
+            coloring = import_assignment(cnf, model)
         except ValueError as e:  # a SAT answer whose model is not one: no verdict
             status, stderr = UNKNOWN, f"solver said SAT, model rejected: {e}\n{stderr}".strip()
+        else:
+            stats.verify_s = time.monotonic() - done
+            return SolveOutcome(SAT, coloring, stats)
     return SolveOutcome(status, None, stats, solver_stderr=stderr)
 
 
@@ -813,13 +837,12 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
     # of the vertex to move; a binary row (i, j) is (i, j, j) here
     groups = np.concatenate([ternary, binary[:, [0, 1, 1]]]).tolist()
     groups_of = [[] for _ in range(n)]  # the ids of the rows on each variable, in row order
-    partners = [[] for _ in range(n)]   # and, in the same order, their other two vertices
+    partners = [[] for _ in range(n)]   # and their other two, a binary row's other one twice
     for g, row in enumerate(groups):
         for v in set(row):
             groups_of[v].append(g)
-            others = row.copy()
-            others.remove(v)
-            partners[v].append(others)
+            others = [x for x in row if x != v]
+            partners[v].append((others[0], others[-1]))
 
     for _ in range(max(1, restarts)):
         colors = [rng.randrange(K) for _ in range(n)]
@@ -830,18 +853,22 @@ def local_search_coloring(region: Region, K: int, seed: int = 0,
             steps += 1
             gi = rng.choice(tuple(bad))
             v = rng.choice(groups[gi])
-            scores = []
-            for c in range(K):  # the rows on v that color c leaves monochromatic
-                colors[v] = c
-                hits = sum(1 for u, w in partners[v] if colors[u] == c and colors[w] == c)
-                scores.append((hits, rng.random(), c))
-            colors[v] = min(scores)[2]
-            for g in groups_of[v]:
-                x, y, z = groups[g]
-                if colors[x] == colors[y] == colors[z]:
-                    bad.add(g)
-                else:
-                    bad.discard(g)
+            hits = [0] * K  # the rows on v that each color leaves monochromatic
+            agree = []      # (row, color) for each row on v whose partners share a color
+            for g, (x, y) in zip(groups_of[v], partners[v]):
+                c = colors[x]
+                if c == colors[y]:
+                    hits[c] += 1
+                    agree.append((g, c))
+            old = colors[v]
+            new = min((hits[c], rng.random(), c) for c in range(K))[2]
+            if new != old:  # rows whose partners have the new color turn bad, the old one's good
+                colors[v] = new
+                for g, c in agree:
+                    if c == new:
+                        bad.add(g)
+                    elif c == old:
+                        bad.discard(g)
         if not bad:
             coloring = Coloring(region, colors, K)
             ok, _ = is_proper(coloring)

@@ -164,6 +164,62 @@ def test_solve_stats_phases():
     assert out.status == UNSAT and 0 < out.stats.max_depth < 10
 
 
+def test_verify_s_times_the_check_of_a_sat_answer(tmp_path):
+    # the internal search's is_proper call, the external solver's
+    # import_assignment; no time without a SAT answer
+    for sat_cmd in (None, SATSTUB):
+        sat = decide_k_colorable(TriangleRegion(6), 3, sat_cmd=sat_cmd)
+        assert sat.status == SAT and sat.stats.verify_s > 0
+        assert decide_k_colorable(TriangleRegion(6), 2, sat_cmd=sat_cmd).stats.verify_s == 0
+    unknown = decide_k_colorable(TriangleRegion(6), 3, Budget(max_nodes=3))
+    assert unknown.status == UNKNOWN and unknown.stats.verify_s == 0
+    unknown = decide_k_colorable(TriangleRegion(6), 3, sat_cmd=str(tmp_path / "no-such-solver"))
+    assert unknown.status == UNKNOWN and unknown.stats.verify_s == 0
+
+
+def test_every_uncolored_variable_has_a_color_under_the_cap(monkeypatch):
+    """The variable choice skips the uncolored variables with no color under
+    the cap, min(K, largest color used + 2): at every node there are none."""
+    monkeypatch.setattr(solver, "CHECK_EVERY", 1)
+    checks = 0
+
+    def check(nodes):
+        nonlocal checks
+        checks += 1
+        used = [c for c in search.color if c >= 0]
+        under = search.D[:min(K, max(used, default=-1) + 2)]
+        for v, c in enumerate(search.color):
+            assert c >= 0 or any(d >> v & 1 for d in under)
+        return None
+
+    for region, K in [*[(TriangleRegion(n), k) for n in range(1, 13) for k in range(1, 6)],
+                      *[(PeriodicStripe(rows, p), k) for rows in (2, 3, 4, 6)
+                        for p in (1, 2, 3, 4, 5, 8) for k in (2, 3, 4)],
+                      (StripeWindow(3, -4, 2), 2), (StripeWindow(4, -3, 6), 3),
+                      (StripeWindow(6, 0, 5), 3)]:
+        search = _Search(region, K)
+        search.run(20000, check)
+    assert checks > 10000
+
+
+def test_pause_at_every_node_and_run_on_matches_one_run(monkeypatch):
+    # a unit paused at every check and run on takes the nodes of one
+    # uninterrupted run, and ends with the same records and colors
+    monkeypatch.setattr(solver, "CHECK_EVERY", 1)
+    cases = [*[(TriangleRegion(n), k, None) for n in range(1, 12) for k in (2, 3, 4)],
+             *[(PeriodicStripe(6, p), 3, None) for p in range(1, 9)],
+             (PeriodicStripe(6, 4), 4, None), (TriangleRegion(13), 4, 3000)]
+    pauses = 0
+    for region, k, max_nodes in cases:
+        limit = max_nodes if max_nodes is not None else sys.maxsize
+        whole = _Search(region, k).run(limit, lambda nodes: None)
+        search = _Search(region, k)
+        while (report := search.run(limit, lambda nodes: solver.PAUSED))[0] == solver.PAUSED:
+            pauses += 1
+        assert report == whole
+    assert pauses > 10000
+
+
 def test_deep_instance_no_recursion_limit():
     # T45 has 1035 points, one search frame each: past Python's recursion limit
     out = decide_k_colorable(TriangleRegion(45), 23)
@@ -425,6 +481,10 @@ def test_local_search_finds_colorings():
     (TriangleRegion(14), 5, 4000, 1, [None, None, None, "ab8ba52f690f2f65"]),
     (PeriodicStripe(6, 4), 4, 8000, 2, ["282aa4757da51c57", None, "cb49d71cf4a0db6a", None]),
     (PeriodicStripe(6, 5), 4, 8000, 2, [None, None, "5fa06c221c4af6a0", None]),
+    (PeriodicStripe(3, 2), 3, 2000, 2,  # binary rows
+     ["bdea935af2bbbb7e", "1182b52ce3378eec", "6f29f7ceb6e3a21b", "980c6efd73c6b378"]),
+    (PeriodicStripe(4, 3), 3, 4000, 2,
+     ["946c47a15817034b", "af245be5a68c1e32", "f5534212aa726677", "02f692db68d6969a"]),
 ])
 def test_local_search_pinned(region, k, max_steps, restarts, shas):
     """The coloring (sha256 prefix of its colors) or None that local search
