@@ -6,47 +6,78 @@ fundamental domain (`Region.rank` maps coordinates to ranks).  It is proper
 when no three points forming an equilateral triangle (any orientation, any
 size) share a color.
 
-The checker scans the ordered pairs (p, q) of each color class and looks up
-the apex p + rot(q - p) of each, where rot(a, b) = (-b, a + b) turns a vector
-by +60 degrees.  Every region kind is unrolled into one clipped color grid:
-the scanned points' rows b_min..b_max plus one border row on each side, and
-the columns a_min - (b_max - b_min)..a_max.  The points of T_n or of a stripe
-window carry their colors, a periodic stripe is tiled across its rows, and
-every other cell holds the sentinel num_colors, which no point has; the grid's
-dtype is `np.min_scalar_type(num_colors)`, one byte per cell up to 255 colors.
-In rank order b_q >= b_p, so the apex (a_p - (b_q - b_p), b_p + (a_q - a_p) +
-(b_q - b_p)) always has its column inside the grid.  Its row can stray
+The checker looks up apexes of pairs (p, q) of one color class: the +60
+degree apex p + rot(q - p), where rot(a, b) = (-b, a + b) turns a vector by
++60 degrees, and the -60 degree apex, which is the +60 degree apex of
+(q, p).  Every region kind is unrolled into one clipped color grid: the
+scanned points' rows b_min..b_max plus one border row on each side, and the
+columns a_min - (b_max - b_min)..a_max + (b_max - b_min).  The points of T_n
+or of a stripe window carry their colors, a periodic stripe is tiled across
+its rows, and every other cell holds the sentinel num_colors, which no point
+has; the grid's dtype is `np.min_scalar_type(num_colors)`, one byte per cell
+up to 255 colors (T600: 602 rows of 1,798 columns, 1.08 MB).  A pair in rank
+order has 0 <= b_q - b_p <= b_max - b_min, so the +60 degree apex (a_p - (b_q
+- b_p), a_q + b_q - a_p) and the -60 degree apex (a_q + (b_q - b_p), a_p +
+b_p - a_q) both have their columns inside the grid.  Their rows can stray
 anywhere, but a row below the lower border row gives a flat index below 0 and
 one above the upper border row gives one past the end, so a clipped lookup
 (`take(mode="clip")`) lands on a sentinel cell of a border row; every other
 row is a real row of the grid.  The flat index is affine in the point, so
-with U[p] = flat(p - rot p) and V[q] = flat(rot q) - flat(0) the apex of
-(p, q) sits at U[p] + V[q]: one add, one clipped gather and one compare per
-pair.
+with U[p] = flat(p - rot p) and V[q] = flat(rot q) - flat(0) the +60 degree
+apex of (p, q) sits at U[p] + V[q] and the -60 degree apex at V[p] + U[q]:
+one add, one clipped gather and one compare per probe.  The terms are int32,
+and so are the scan's indices, whenever that is exact (int64 otherwise).
 
-One rotation over the pairs i < j (in rank order) of a class finds every
-monochromatic triangle.  Going round a triangle counter-clockwise, x -> y -> z,
-each vertex is the +60 degree apex of the edge before it (z = x + rot(y - x),
-and so on cyclically), and ranks cannot fall along all three edges of a cycle,
-so some edge goes up in rank and its pair i < j meets the triangle.  The first
-hit in class order (first appearance in rank order), then row-major pair
-order, is the witness; the triangle-scan oracle is in tests/oracles.py.
+Only pairs whose apex can lie in the class are probed.  Let p be the vertex
+of lowest rank of a monochromatic triangle.  Going round the triangle
+counter-clockwise from p, p -> q -> r, each vertex is the +60 degree apex of
+the edge before it: r is the +60 degree apex of (p, q), and q the -60 degree
+apex of (p, r).  Both q and r come after p in rank order, so scanning the
+later members of each p at either rotation, chosen for each p, finds every
+monochromatic triangle, and every hit is one.  With s = a + b, the +60
+degree apex of (p, q) is (s_p - b_q, s_q - a_p) and lies at a >= a_lo, the
+least a of the class, only if b_q <= s_p - a_lo; the -60 degree apex has
+a + b = b_q + a_p, at most s_hi, the greatest a + b of the class, only if
+b_q <= s_hi - a_p.  (The other sides of the class's hexagon, a <= a_hi and s >= s_lo, hold
+for every later member.)  Members come in rank order, so each bound is a
+band: the later members up to the last one in row s_p - a_lo, or in row
+s_hi - a_p.  Each p takes the shorter band.  A (class, row) table of the
+first member of each class in each row gives the band ends with one gather
+per bound; it has (classes) x (rows + 2) entries, and when that is more than
+twice the points, a search of the sorted (class, row) keys stands in for it.
+Banded T600 then takes 1,375,767 probes, 1.3% of its 104.8 million class
+pairs.  A coloring with at most 2**14 class pairs (every committed
+certificate, and the small colorings the exact search finds) skips the bands
+and probes every pair at +60 degrees: there, setting up the bands would cost
+more than the probes they save.
+
+The witness is the first pair (p, q), in class order (first appearance in
+rank order) and then row-major order, whose +60 degree apex is in the class,
+with that apex; the pair-order and triangle-scan oracles are in
+tests/oracles.py.  The banded scan probes the classes in that order, so its
+first hit names the first class with a monochromatic triangle.  That class
+alone is then scanned again at +60 degrees, each p up to the end of its +60
+degree band, a set that holds every +60 degree hit of the class: its first
+hit is the witness.
 
 Periodic stripe colorings are scanned on `PeriodicStripe.window()`, which
-holds a translate of every triangle of the stripe.
+holds a translate of every triangle of the stripe, so the bands of the
+window's members find every monochromatic triangle.  A witness's apex can be
+a tiled cell outside the window, so the witness's class is scanned over all
+its pairs.
 
-The scan works in units: a row block of one color class, of about 2**17
-pair probes (max(1, 2**17 // s) rows of a class of s points).  Classes come
-in order of first appearance and blocks in row order, so the earliest unit
-with a hit holds the witness.  A scan of 2**21 probes or more runs on one
-thread per usable CPU (`usable_cpus`), the caller's among them; below that,
-and on one CPU, the caller runs the same loop over the same units alone.
-Each thread takes the next unit from a shared counter.  A unit k with a hit
-lowers a shared bound to k, and no thread takes a unit at or past the bound,
-while every unit before it is still scanned: the reported pair is the
-one-thread scan's.  An exception in a unit, or one raised in the caller while
-it waits (KeyboardInterrupt, a signal handler's), sets the bound to 0, so each
-thread stops after its current unit; every thread is joined before the call
+The scan works in units: a run of rows of about 2**16 probes (a row is one
+member p with its band), under 1 MB of temporaries.  Rows come in class
+order, so the earliest unit with a hit holds the first hit.  A scan of 2**21
+probes or more runs on one thread per usable CPU (`usable_cpus`), the
+caller's among them; below that (banded T600 among them), and on one CPU,
+the caller runs the same loop over the same units alone.  Each thread takes
+the next unit from a shared counter.  A unit k with a hit lowers a shared
+bound to k, and no thread takes a unit at or past the bound, while every
+unit before it is still scanned: the reported pair is the one-thread scan's.
+An exception in a unit, or one raised in the caller while it waits
+(KeyboardInterrupt, a signal handler's), sets the bound to 0, so each thread
+stops after its current unit; every thread is joined before the call
 returns or raises, and the first exception is raised in the caller.  The
 checker uses threads where the exact search forks processes because numpy's
 take, add, == and any release the GIL and every thread reads the one grid
@@ -78,7 +109,7 @@ import threading
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -146,10 +177,13 @@ def color_count(c: Coloring) -> int:
     return int(np.unique(c.colors).size)
 
 
-# pair probes per unit of the scan (module docstring): about 1.3 MB of temporaries
-_UNIT = 1 << 17
+# pair probes per unit of the scan (module docstring): under 1 MB of temporaries
+_UNIT = 1 << 16
+# a coloring with at most this many class pairs is scanned pair by pair: the
+# bands would cost more to set up than the probes they save
+_ALL_PAIRS = 1 << 14
 # a scan of fewer probes runs on the calling thread alone; every check of the
-# exact search and of the committed certificates stays below this
+# exact search and of the committed certificates, and banded T600, stay below this
 _THREAD_PROBES = 1 << 21
 MAX_WORKERS = 4
 
@@ -162,19 +196,22 @@ def usable_cpus() -> int:
     return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
 
 
-def _unit_hit(grid: np.ndarray, u: np.ndarray, v: np.ndarray, upper: np.ndarray,
-              unit: tuple) -> Optional[tuple[int, int]]:
-    """First pair (i, j), row-major, of a unit (i0, h, end, color) whose apex
-    cell grid[u[i] + v[j]] (clipped to the grid) has the unit's color, for
-    i0 <= i < i0 + h and i < j < end."""
-    i0, h, end, color = unit
-    # row t is i = i0 + t and column c is j = i0 + 1 + c, so c < t means j <= i
-    hit = grid.take(u[i0:i0 + h, None] + v[None, i0 + 1:end], mode="clip") == color
-    hit[:, :h] &= upper[:h, :h]
-    if hit.any():
-        t, col = divmod(int(hit.argmax()), hit.shape[1])
-        return i0 + t, i0 + 1 + col
-    return None
+def _unit_hit(grid: np.ndarray, terms: np.ndarray, unit: tuple) -> Optional[tuple[int, int]]:
+    """First probe (r, j), row by row and then by column, of a unit (rows,
+    first, count, color) whose cell grid[terms[r] + terms[j]] (clipped to the
+    grid) has the row's color, for each row r of `rows` and its columns
+    first <= j < first + count."""
+    rows, first, count, color = unit
+    ends = np.cumsum(count, dtype=count.dtype)
+    cols = np.repeat(first - ends + count, count)  # the k-th probe's column, less k
+    cols += np.arange(cols.size, dtype=cols.dtype)
+    cell = terms.take(cols)
+    cell += np.repeat(terms.take(rows), count)
+    hit = grid.take(cell, mode="clip") == np.repeat(color, count)
+    if not hit.any():
+        return None
+    k = int(hit.argmax())
+    return int(rows[np.searchsorted(ends, k, side="right")]), int(cols[k])
 
 
 def _first_hit(units: list, hit_of, workers: int) -> Optional[tuple[int, int]]:
@@ -246,66 +283,164 @@ def _first_hit(units: list, hit_of, workers: int) -> Optional[tuple[int, int]]:
     return hits.get(bound)
 
 
+def _scan(grid: np.ndarray, terms: np.ndarray, rows: np.ndarray, first: np.ndarray,
+          count: np.ndarray, color: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first hit of `_unit_hit` over the rows in order, each with its
+    columns first..first + count - 1 (count >= 0) and its color: units of
+    about `_UNIT` probes, on `usable_cpus()` threads from `_THREAD_PROBES`
+    probes on."""
+    ends = np.cumsum(count, dtype=np.int64)
+    probes = int(ends[-1])
+    # a unit ends after the row whose probes reach the next multiple of _UNIT
+    cuts = dict.fromkeys((np.searchsorted(ends, np.arange(_UNIT, probes, _UNIT)) + 1).tolist())
+    del ends
+    cuts = [0, *(cut for cut in cuts if cut < rows.size), rows.size]
+    units = [(rows[i:j], first[i:j], count[i:j], color[i:j]) for i, j in zip(cuts, cuts[1:])]
+    return _first_hit(units, lambda unit: _unit_hit(grid, terms, unit),
+                      usable_cpus() if probes >= _THREAD_PROBES else 1)
+
+
+def _apex_terms(x: np.ndarray, y: np.ndarray, width: int, rise: int) -> np.ndarray:
+    """U then V, one entry per member each: the +60 degree apex of the pair
+    (p, q) is the grid cell U[p] + V[q], and the -60 degree apex V[p] + U[q]."""
+    n = x.size
+    terms = np.empty(2 * n, dtype=x.dtype)
+    u, v = terms[:n], terms[n:]
+    np.add(x, y, out=v)
+    np.subtract(v, x * width, out=u)  # (1 - x) * width + x + y + rise
+    u += width + rise
+    v *= width  # (x + y) * width - y
+    v -= y
+    return terms
+
+
+def _bands(x: np.ndarray, y: np.ndarray, firsts: np.ndarray, sizes: np.ndarray,
+           rise: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, first columns and column counts of the pruned scan (module
+    docstring): for each member i, the later members of its class up to the
+    end of its band, at +60 degrees (row i, columns n + j) or at -60 (row
+    n + i, columns j), whichever band is shorter."""
+    n, dt = x.size, x.dtype
+    s = x + y
+    x_lo, s_hi = np.minimum.reduceat(x, firsts), np.maximum.reduceat(s, firsts)
+    # entry k * (rise + 2) + t of a (class, row) table: the first member of
+    # class k in row t or above; `base` is entry k * (rise + 2) of each member's class
+    base = np.repeat(np.arange(sizes.size, dtype=dt) * (rise + 2), sizes)
+    key = base + y
+    key += 1
+    if sizes.size * (rise + 2) <= 2 * n:
+        below = np.cumsum(np.bincount(key, minlength=sizes.size * (rise + 2)), dtype=dt).take
+        del key
+    else:  # many classes: search the sorted keys in place of the table
+        below = partial(np.searchsorted, key, side="right")
+
+    def first_above(offset, t):
+        """For each member, the first member of its class above row offset + t
+        (offset per class, t per member, and overwritten)."""
+        t += np.repeat(offset + 1, sizes)
+        np.clip(t, 0, rise + 1, out=t)
+        t += base
+        return below(t).astype(dt, copy=False)
+
+    # +60 degrees: the apex (s_p - y_q, s_q - x_p) needs s_p - y_q >= x_lo
+    end = first_above(-x_lo, s)
+    # -60 degrees: the apex (s_q - y_p, s_p - x_q) needs y_q + x_p <= s_hi
+    end_m = first_above(s_hi, -x)
+    minus = end_m < end
+    np.minimum(end, end_m, out=end)
+    del end_m, base, below
+    rows = np.arange(n, dtype=dt)
+    end -= rows + 1
+    np.maximum(end, 0, out=end)
+    first = rows + (n + 1)
+    np.subtract(first, n, out=first, where=minus)
+    np.add(rows, n, out=rows, where=minus)
+    return rows, first, end
+
+
 def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
     """Pair-based properness check; returns (verdict, witness-or-None).
 
     The color grid is clipped (module docstring): rows b_min - 1..b_max + 1
-    of the scanned points, columns a_min - (b_max - b_min)..a_max, one cell of
-    dtype `np.min_scalar_type(num_colors)` each, with num_colors marking the
-    cells no point colors.  A rank-ordered pair has b_q >= b_p, so its apex
-    column a_p - (b_q - b_p) is always a grid column, and an apex row past
-    either border row clips onto a sentinel cell of that border row.  Beside
-    the grid, the scan holds a few arrays of one entry per scanned point, and
-    each thread the temporaries of one unit.
+    of the scanned points, columns a_min - (b_max - b_min)..a_max + (b_max -
+    b_min), one cell of dtype `np.min_scalar_type(num_colors)` each, with
+    num_colors marking the cells no point colors.  A rank-ordered pair (p, q)
+    has 0 <= b_q - b_p <= b_max - b_min, so both its apex columns, a_p - (b_q
+    - b_p) at +60 degrees and a_q + (b_q - b_p) at -60, are grid columns, and
+    an apex row past either border row clips onto a sentinel cell of that
+    border row.  Beside the grid, the scan holds a few arrays of one entry per
+    scanned point, and each thread the temporaries of one unit.
     """
     region = c.region
     periodic = isinstance(region, PeriodicStripe)
     a, b = (region.window() if periodic else region).point_arrays()
-    if a.size < 3:
+    n = a.size
+    if n < 3:
         return (True, None)
-    b_min, b_max = int(b[0]), int(b[-1])  # rank order is (b, a)
-    r0, c0 = b_min - 1, int(a.min()) - (b_max - b_min)
-    height, width = b_max - b_min + 3, int(a.max()) - c0 + 1
+    a_min, b_min = int(a.min()), int(b[0])  # rank order is (b, a)
+    wide, rise = int(a.max()) - a_min, int(b[-1]) - b_min
+    height, width = rise + 3, wide + 2 * rise + 1
+    # int32 holds every coordinate, term, term sum and index below when this bound does
+    dt = np.int32 if max(2 * width * width, n * height) < 2 ** 31 else np.int64
+    # from here on a point is (x, y) = (a - a_min, b - b_min), in grid column x + rise, row y + 1
+    x, y = (a - a_min).astype(dt), (b - b_min).astype(dt)
+    del a, b
     grid = np.full(height * width, c.num_colors, dtype=np.min_scalar_type(c.num_colors))
-    cell = (b - r0) * width
-    cell += a - c0
+    cell = (y + 1) * width
+    cell += x + rise
     if periodic:  # every stripe row, tiled across the grid's columns
-        tiles = np.arange(c0, c0 + width) % region.period
+        tiles = np.arange(a_min - rise, a_min - rise + width) % region.period
         grid.reshape(height, width)[1:-1] = c.colors.reshape(region.k, region.period)[:, tiles]
     else:
         grid[cell] = c.colors
     colors = grid[cell]
     del cell
-    u = (a + r0) * -width  # flat(p - rot p), p - rot p = (a + b, -a)
-    u += a + b - c0
-    v = (a + b) * width  # flat(rot q) - flat(0), rot q = (-b, a + b)
-    v -= b
 
-    members = np.argsort(colors, kind="stable")  # by class, rank order within each
+    members = np.argsort(colors, kind="stable")  # by color, rank order within each
     ordered = colors[members]
-    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    del ordered
-    ends = np.append(starts, a.size)
-    starts = np.insert(starts, 0, 0)
-    u, v = u[members], v[members]  # each class contiguous
-    units, probes = [], 0
-    for cls in np.argsort(members[starts]).tolist():  # classes by first appearance
-        lo, hi = int(starts[cls]), int(ends[cls])
-        if hi - lo < 3:
-            continue
-        rows, color = max(1, _UNIT // (hi - lo)), colors[members[lo]]
-        for i0 in range(lo, hi - 1, rows):  # the class's row blocks, in row order
-            h = min(rows, hi - 1 - i0)
-            units.append((i0, h, hi, color))
-            probes += h * (hi - 1 - i0)
-    upper = np.tri(max((unit[1] for unit in units), default=0), dtype=bool).T  # [t, c]: c >= t
-    found = _first_hit(units, lambda unit: _unit_hit(grid, u, v, upper, unit),
-                       usable_cpus() if probes >= _THREAD_PROBES else 1)
+    new = np.empty(n, dtype=bool)  # the member is its color's first
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    order = np.argsort(members[starts])  # classes by first appearance
+    sizes = np.diff(starts, append=n)[order]
+    color = np.repeat(ordered[starts[order]], sizes)
+    firsts = np.cumsum(sizes) - sizes
+    at = np.repeat(starts[order] - firsts, sizes)
+    at += np.arange(n)
+    del colors, ordered, new
+    # each class contiguous, in order of first appearance, and in rank order
+    x, y = x[members][at], y[members][at]
+    del members, at
+
+    if int(sizes @ (sizes - 1)) > 2 * _ALL_PAIRS:
+        band = _bands(x, y, firsts, sizes, rise)
+        terms = _apex_terms(x, y, width, rise)  # once the bands' temporaries are gone
+        found = _scan(grid, terms, *band, color)
+        del band
+        if found is None:
+            return (True, None)
+        # the first class with a hit: its +60 degree hits lie in rows i with
+        # columns up to the end of the +60 band
+        k = int(np.searchsorted(firsts, found[0] % n, side="right")) - 1
+        lo, hi = int(firsts[k]), int(firsts[k] + sizes[k])
+        if periodic:  # the apex may be a tiled cell outside the window
+            end = hi
+        else:
+            s = x[lo:hi] + y[lo:hi]
+            end = lo + np.searchsorted(y[lo:hi], s - x[lo:hi].min(), side="right")
+    else:  # every pair of every class
+        terms = _apex_terms(x, y, width, rise)
+        lo, hi, end = 0, n, np.repeat(firsts + sizes, sizes)
+    # rows lo..hi - 1 at +60 degrees, row-major: the first hit is the witness
+    rows = np.arange(lo, hi, dtype=dt)
+    count = np.maximum(end - rows - 1, 0).astype(dt, copy=False)
+    found = _scan(grid, terms, rows, rows + n + 1, count, color[lo:hi])
     if found is None:
         return (True, None)
-    p, q = members[found[0]], members[found[1]]
-    p1 = LatticePoint(int(a[p]), int(b[p]))
-    p2 = LatticePoint(int(a[q]), int(b[q]))
+    i, j = found[0], found[1] - n
+    p1 = LatticePoint(int(x[i]) + a_min, int(y[i]) + b_min)
+    p2 = LatticePoint(int(x[j]) + a_min, int(y[j]) + b_min)
     apex = LatticePoint(p1.a + p1.b - p2.b, p2.a + p2.b - p1.a)
     return (False, EquilateralTriangle.of(p1, p2, apex))
 
@@ -503,6 +638,12 @@ def read_certificate(text: str) -> Coloring:
     decides.  Any other body (comments, blank lines, CRLF, `+5`, `1_0`, no
     final newline, a value beyond int64 or past the +-2**61 clamp) goes to the
     per-line parser, which alone defines what is accepted.
+
+    When the rows' points are the region's points in rank order (its
+    `point_arrays`, as `write_certificate` lists them), none can be outside
+    the region, repeated or missing, so only the colors' range is checked and
+    the colors are already in rank order.  Any other rows go through the
+    region, duplicate and gap checks, in that order for each line.
     """
     header, body = _split_header(text)
     if not header or header[0] != MAGIC:
@@ -540,34 +681,41 @@ def read_certificate(text: str) -> Coloring:
         lines = _point_lines(body)
         rows, malformed = _point_rows(lines)
     a, b, col = rows.T
-    periodic = isinstance(region, PeriodicStripe)
-    where = "fundamental domain" if periodic else "region"
-    inside = region.contains((a, b))  # a stripe's points also lie in 0 <= a < period
-    if periodic:
-        inside &= (a >= 0) & (a < region.period)
-    # a repeated point: every occurrence after the first of its (a, b); lexsort is stable
-    order = np.lexsort((a, b))
-    same = (a[order][1:] == a[order][:-1]) & (b[order][1:] == b[order][:-1])
-    duplicate = np.zeros(a.size, dtype=bool)
-    duplicate[order[1:][same]] = True
-    bad_color = (col < 0) | (col >= num_colors)
-    bad = ~inside | duplicate | bad_color
+    bad = (col < 0) | (col >= num_colors)
+    # the region's points in rank order, as `write_certificate` lists them:
+    # none can be outside, repeated or missing
+    ranked = a.size == region.size() and all(map(np.array_equal, (a, b), region.point_arrays()))
+    if not ranked:
+        periodic = isinstance(region, PeriodicStripe)
+        where = "fundamental domain" if periodic else "region"
+        inside = region.contains((a, b))  # a stripe's points also lie in 0 <= a < period
+        if periodic:
+            inside &= (a >= 0) & (a < region.period)
+        # a repeated point: every occurrence after the first of its (a, b); lexsort is stable
+        order = np.lexsort((a, b))
+        same = (a[order][1:] == a[order][:-1]) & (b[order][1:] == b[order][:-1])
+        duplicate = np.zeros(a.size, dtype=bool)
+        duplicate[order[1:][same]] = True
+        bad |= ~inside | duplicate
     # report the first bad line, by the first check it fails; the rows stop
     # before a malformed line, so a bad line ahead of it comes first
     if bad.any():
         r = int(bad.argmax())
         line = lines[r] if lines is not None else _POINT_LINE.rstrip() % tuple(rows[r].tolist())
-        if not inside[r]:
+        if not ranked and not inside[r]:
             raise CertificateError(f"point outside {where}: {line!r}")
-        if duplicate[r]:
+        if not ranked and duplicate[r]:
             raise CertificateError(f"duplicate point: {line!r}")
         raise CertificateError(f"color out of range: {line!r}")
     if malformed is not None:
         raise CertificateError(f"bad point line: {malformed!r}")
-    # every point is in the region and distinct, so a short count means a gap;
-    # checking it first keeps a huge declared region from being laid out
-    if a.size != region.size():
-        raise CertificateError("partial coloring")
-    colors = np.full(a.size, -1, dtype=np.int64)  # a slot left unfilled fails the range check
-    colors[region.rank(a, b)] = col
+    if ranked:
+        colors = col
+    else:
+        # every point is in the region and distinct, so a short count means a
+        # gap; checking it first keeps a huge declared region from being laid out
+        if a.size != region.size():
+            raise CertificateError("partial coloring")
+        colors = np.full(a.size, -1, dtype=np.int64)  # a slot left unfilled fails the range check
+        colors[region.rank(a, b)] = col
     return Coloring(region, colors, num_colors)

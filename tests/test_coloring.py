@@ -223,8 +223,10 @@ def test_checker_agrees_on_drawn_colorings(data):
 
 def thread_every_scan(monkeypatch, cpus):
     """Every scan takes the threaded path with one thread per CPU of `cpus`:
-    the probe threshold is 0.  Returns the thread counts of the scans."""
+    the probe threshold is 0, and units of 64 probes split even a small scan
+    into many units.  Returns the thread counts of the scans."""
     monkeypatch.setattr(coloring, "_THREAD_PROBES", 0)
+    monkeypatch.setattr(coloring, "_UNIT", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     workers, first_hit = [], coloring._first_hit
     monkeypatch.setattr(coloring, "_first_hit",
@@ -241,18 +243,34 @@ def test_threaded_scan_agrees_with_oracles(monkeypatch, cpus):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for n in range(1, 17):
-            test_pair_and_scan_checkers_agree(n)
-        test_stripe_window_checker()
-        test_periodic_vs_scan_randomized()
-        for num_colors in GRID_DTYPE_CASES:
-            test_checker_grid_dtypes(num_colors)
-        for region in CLIPPED_REGIONS:
-            test_checker_clipped_lookups(region)
-        test_checker_agrees_on_drawn_colorings()
+        run_oracle_suites()
     finally:
         sys.setswitchinterval(interval)
     assert set(workers) == {cpus}
+
+
+def run_oracle_suites():
+    """The checker's oracle tests above, one after the other."""
+    for n in range(1, 17):
+        test_pair_and_scan_checkers_agree(n)
+    test_stripe_window_checker()
+    test_periodic_vs_scan_randomized()
+    for num_colors in GRID_DTYPE_CASES:
+        test_checker_grid_dtypes(num_colors)
+    for region in CLIPPED_REGIONS:
+        test_checker_clipped_lookups(region)
+    test_checker_agrees_on_drawn_colorings()
+
+
+@pytest.mark.parametrize("cpus", [None, 4])
+def test_band_scan_agrees_with_oracles(monkeypatch, cpus):
+    """The oracle suites again, every coloring scanned by its bands and then
+    its witness's class however few pairs it has, on the caller alone or on
+    `cpus` threads."""
+    monkeypatch.setattr(coloring, "_ALL_PAIRS", 0)
+    if cpus:
+        thread_every_scan(monkeypatch, cpus)
+    run_oracle_suites()
 
 
 class Interrupted(Exception):
@@ -357,6 +375,61 @@ def test_improper_banded_t300_witnesses_pinned(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out.startswith("improper: monochromatic triangle ")
         assert ast.literal_eval(out.split("triangle ", 1)[1].strip()) == pinned
+
+
+def count_probes(monkeypatch):
+    """The probe count of each unit the kernel scans from now on."""
+    probes, unit_hit = [], coloring._unit_hit
+
+    def counted(grid, terms, unit):
+        probes.append(int(unit[2].sum()))
+        return unit_hit(grid, terms, unit)
+
+    monkeypatch.setattr(coloring, "_unit_hit", counted)
+    return probes
+
+
+@pytest.mark.parametrize("scheme", ["banded T300", "chevron T200"])
+def test_proper_scan_probes_few_class_pairs(monkeypatch, scheme):
+    """A proper banded or chevron coloring is checked with under 5% of its
+    class pairs probed, those whose apex can lie in their class: a fallback
+    to every pair would fail here."""
+    if scheme == "banded T300":
+        c = banded_coloring(300, read_certificate((CERT_DIR / "s6_p4_k4.cert").read_text()), 6, 15,
+                            verify=False)
+    else:
+        c = chevron_coloring(200, verify=False)
+    probes = count_probes(monkeypatch)
+    assert is_proper(c) == (True, None)
+    sizes = np.bincount(c.colors)
+    assert 0 < sum(probes) < 0.05 * int(sizes @ (sizes - 1) // 2)
+
+
+@pytest.mark.parametrize("scheme", ["banded", "chevron"])
+def test_planted_triangles_agree_with_pair_oracle(monkeypatch, scheme):
+    """One triangle recolored into each class in turn, at the corners and
+    edges of T_n, so that its points set the class hexagon's extreme a and
+    a + b, where an off-by-one in a band bound would hide: the verdict and
+    witness are the pair-order oracle's, with every coloring scanned by its
+    bands."""
+    monkeypatch.setattr(coloring, "_ALL_PAIRS", 0)
+    if scheme == "banded":  # proper at n = 32, so each plant is the one defect
+        base = banded_coloring(32, read_certificate((CERT_DIR / "s6_p4_k4.cert").read_text()), 6, 15,
+                               verify=False)
+    else:
+        base = chevron_coloring(30, verify=False)
+    assert is_proper(base) == (True, None)
+    m = base.region.n - 1
+    # (x, y, side, i): the triangle (x + i, y), (x + side - i, y + i), (x, y + side - i)
+    plants = [(0, 0, m, 0), (0, 0, m, m // 3), (m - 1, 0, 1, 0), (0, m - 1, 1, 0),
+              (0, 0, 2, 1), (m - 2, 0, 2, 1), (4, 6, m // 2, 5)]
+    for x, y, side, i in plants:
+        a, b = np.array([(x + i, y), (x + side - i, y + i), (x, y + side - i)]).T
+        for color in range(base.num_colors):
+            colors = base.colors.copy()
+            colors[base.region.rank(a, b)] = color
+            c = Coloring(base.region, colors, base.num_colors)
+            assert is_proper(c) == is_proper_pairs(c)
 
 
 def test_span_bound_dominates_triangle_extent():
