@@ -38,23 +38,21 @@ monochromatic triangle, and every hit is one.  With s = a + b, the +60
 degree apex of (p, q) is (s_p - b_q, s_q - a_p) and lies at a >= a_lo, the
 least a of the class, only if b_q <= s_p - a_lo; the -60 degree apex has
 a + b = b_q + a_p, at most s_hi, the greatest a + b of the class, only if
-b_q <= s_hi - a_p.  (The other sides of the class's hexagon, a <= a_hi and s >= s_lo, hold
-for every later member.)  Members come in rank order, so each bound is a
-band: the later members up to the last one in row s_p - a_lo, or in row
-s_hi - a_p.  Each p takes the shorter band.  A (class, row) table of the
+b_q <= s_hi - a_p.  (The other sides of the class's hexagon, a <= a_hi and
+s >= s_lo, hold for every later member.)  Members come in rank order, so each
+bound is a band: the later members up to the last one in row s_p - a_lo, or
+in row s_hi - a_p.  Each p takes the shorter band.  A (class, row) table of the
 first member of each class in each row gives the band ends with one gather
 per bound; it has (classes) x (rows + 2) entries, and when that is more than
 twice the points, a search of the sorted (class, row) keys stands in for it.
+The search gives the same ends, more slowly (BENCH_pruned_check.json).
 Banded T600 then takes 1,375,767 probes, 1.3% of its 104.8 million class
-pairs.  A coloring with at most 2**14 class pairs (every committed
-certificate, and the small colorings the exact search finds) skips the bands
-and probes every pair at +60 degrees: there, setting up the bands would cost
-more than the probes they save.
+pairs.
 
 The witness is the first pair (p, q), in class order (first appearance in
 rank order) and then row-major order, whose +60 degree apex is in the class,
 with that apex; the pair-order and triangle-scan oracles are in
-tests/oracles.py.  The banded scan probes the classes in that order, so its
+tests/oracles.py.  The band scan probes the classes in that order, so its
 first hit names the first class with a monochromatic triangle.  That class
 alone is then scanned again at +60 degrees, each p up to the end of its +60
 degree band, a set that holds every +60 degree hit of the class: its first
@@ -179,9 +177,6 @@ def color_count(c: Coloring) -> int:
 
 # pair probes per unit of the scan (module docstring): under 1 MB of temporaries
 _UNIT = 1 << 16
-# a coloring with at most this many class pairs is scanned pair by pair: the
-# bands would cost more to set up than the probes they save
-_ALL_PAIRS = 1 << 14
 # a scan of fewer probes runs on the calling thread alone; every check of the
 # exact search and of the committed certificates, and banded T600, stay below this
 _THREAD_PROBES = 1 << 21
@@ -413,32 +408,26 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
     x, y = x[members][at], y[members][at]
     del members, at
 
-    if int(sizes @ (sizes - 1)) > 2 * _ALL_PAIRS:
-        band = _bands(x, y, firsts, sizes, rise)
-        terms = _apex_terms(x, y, width, rise)  # once the bands' temporaries are gone
-        found = _scan(grid, terms, *band, color)
-        del band
-        if found is None:
-            return (True, None)
-        # the first class with a hit: its +60 degree hits lie in rows i with
-        # columns up to the end of the +60 band
-        k = int(np.searchsorted(firsts, found[0] % n, side="right")) - 1
-        lo, hi = int(firsts[k]), int(firsts[k] + sizes[k])
-        if periodic:  # the apex may be a tiled cell outside the window
-            end = hi
-        else:
-            s = x[lo:hi] + y[lo:hi]
-            end = lo + np.searchsorted(y[lo:hi], s - x[lo:hi].min(), side="right")
-    else:  # every pair of every class
-        terms = _apex_terms(x, y, width, rise)
-        lo, hi, end = 0, n, np.repeat(firsts + sizes, sizes)
+    band = _bands(x, y, firsts, sizes, rise)
+    terms = _apex_terms(x, y, width, rise)  # once the bands' temporaries are gone
+    found = _scan(grid, terms, *band, color)
+    del band
+    if found is None:
+        return (True, None)
+    # the first class with a hit: its +60 degree hits lie in rows i with
+    # columns up to the end of the +60 band
+    k = int(np.searchsorted(firsts, found[0] % n, side="right")) - 1
+    lo, hi = int(firsts[k]), int(firsts[k] + sizes[k])
+    if periodic:  # the apex may be a tiled cell outside the window
+        end = hi
+    else:
+        s = x[lo:hi] + y[lo:hi]
+        end = lo + np.searchsorted(y[lo:hi], s - x[lo:hi].min(), side="right")
     # rows lo..hi - 1 at +60 degrees, row-major: the first hit is the witness
     rows = np.arange(lo, hi, dtype=dt)
     count = np.maximum(end - rows - 1, 0).astype(dt, copy=False)
-    found = _scan(grid, terms, rows, rows + n + 1, count, color[lo:hi])
-    if found is None:
-        return (True, None)
-    i, j = found[0], found[1] - n
+    i, j = _scan(grid, terms, rows, rows + n + 1, count, color[lo:hi])
+    j -= n
     p1 = LatticePoint(int(x[i]) + a_min, int(y[i]) + b_min)
     p2 = LatticePoint(int(x[j]) + a_min, int(y[j]) + b_min)
     apex = LatticePoint(p1.a + p1.b - p2.b, p2.a + p2.b - p1.a)

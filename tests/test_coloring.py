@@ -262,17 +262,6 @@ def run_oracle_suites():
     test_checker_agrees_on_drawn_colorings()
 
 
-@pytest.mark.parametrize("cpus", [None, 4])
-def test_band_scan_agrees_with_oracles(monkeypatch, cpus):
-    """The oracle suites again, every coloring scanned by its bands and then
-    its witness's class however few pairs it has, on the caller alone or on
-    `cpus` threads."""
-    monkeypatch.setattr(coloring, "_ALL_PAIRS", 0)
-    if cpus:
-        thread_every_scan(monkeypatch, cpus)
-    run_oracle_suites()
-
-
 class Interrupted(Exception):
     pass
 
@@ -406,13 +395,11 @@ def test_proper_scan_probes_few_class_pairs(monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["banded", "chevron"])
-def test_planted_triangles_agree_with_pair_oracle(monkeypatch, scheme):
+def test_planted_triangles_agree_with_pair_oracle(scheme):
     """One triangle recolored into each class in turn, at the corners and
     edges of T_n, so that its points set the class hexagon's extreme a and
     a + b, where an off-by-one in a band bound would hide: the verdict and
-    witness are the pair-order oracle's, with every coloring scanned by its
-    bands."""
-    monkeypatch.setattr(coloring, "_ALL_PAIRS", 0)
+    witness are the pair-order oracle's."""
     if scheme == "banded":  # proper at n = 32, so each plant is the one defect
         base = banded_coloring(32, read_certificate((CERT_DIR / "s6_p4_k4.cert").read_text()), 6, 15,
                                verify=False)
