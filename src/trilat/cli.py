@@ -134,7 +134,8 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     out = solver.decide_k_colorable(TriangleRegion(args.n), args.colors, _budget(args), args.sat_cmd)
     st = out.stats
-    print(f"c nodes {st.nodes} elapsed {st.elapsed:.3f}s build {st.build_s:.3f}s depth {st.max_depth}")
+    print(f"c nodes {st.nodes} elapsed {st.elapsed:.3f}s build {st.build_s:.3f}s depth {st.max_depth}"
+          f" verify {st.verify_s:.3f}s")
     if out.status == solver.SAT:
         print("s SATISFIABLE")
         _emit([write_certificate(out.coloring)], args.output)

@@ -15,9 +15,12 @@ budget cutoffs yield UNKNOWN.
 
 Forward checking and the variable choice are word-parallel: variables are
 renumbered by degree, D[c] is the bitset of those whose domain holds color c,
-and an apex table holds, for each pair (v, u), the bitset of the w with a row
-(v, u, w), so a node is a few big-int operations and scans no rows; most
-variable choices end at the uncolored variables with one color left.
+an apex table holds, for each pair (v, u), the bitset of the w with a row
+(v, u, w), and bit-planes hold each variable's count of colors under the cap
+in binary, updated by borrow and carry chains as colors are set and restored
+from the frame on undo.  A node is a few big-int operations and scans no rows
+and no D; most choices find an uncolored variable with one color left and
+color it on the spot.
 
 A long search runs on several processes and still returns exactly what the
 one-process search returns.  One loop, `_Search.run`, searches a *unit*: a
@@ -97,10 +100,11 @@ UNKNOWN = "UNKNOWN"
 MAX_SECONDS = ((1 << 31) - 1) // 1000
 
 # A search splits across processes once it has counted this many nodes
-# without a verdict.  Fork, pipe, first message and reaping take 4-6 ms a
-# worker on a 2-CPU Linux box, 1,200-1,800 T13 k4 nodes in one process (the
-# first split also imports multiprocessing, 8-10 ms), and every search under
-# 4,500 nodes (T9-T11 k3, f(9), the certificates) stays in one process.
+# without a verdict.  Fork, pipe, first message and reaping take 3.5-5 ms a
+# worker on a 2-CPU Linux box, 1,600-2,400 T13 k4 nodes in one process at
+# about 480k nodes/s (the first split also imports multiprocessing, 8-10 ms),
+# and every search under 4,500 nodes (T9-T11 k3, f(9), the certificates)
+# stays in one process.
 SPLIT_NODES = 4608
 CHECK_EVERY = 256  # nodes between deadline checks, and a worker's pipe polls
 
@@ -165,24 +169,6 @@ def constraints(region: Region) -> tuple[np.ndarray, np.ndarray]:
     return ternary, binary
 
 
-def _fewest_colors(ds: list[int], candidates: int) -> int:
-    """The candidates whose bit is set in the fewest of the masks `ds`.
-
-    A bit-sliced counter: planes[b] holds bit b of each variable's count.
-    From the top plane down, keep the candidates with a 0 there, if any.
-    """
-    planes: list[int] = []
-    for carry in ds:
-        for b, plane in enumerate(planes):
-            planes[b], carry = plane ^ carry, plane & carry
-        if carry:
-            planes.append(carry)
-    for plane in reversed(planes):
-        if candidates & ~plane:
-            candidates &= ~plane
-    return candidates
-
-
 def decide_k_colorable(region: Region, K: int, budget: Budget = Budget(),
                        sat_cmd: Optional[str] = None) -> SolveOutcome:
     """Exact K-colorability of T_n, a stripe window or a periodic stripe.
@@ -244,20 +230,25 @@ class _Search:
 
     The index numbers the variables by (degree descending, rank), `index`
     mapping a rank to its search index, so "fewest colors under the cap, then
-    higher degree, then first" is the lowest set bit of a mask made from
-    bit-planes of the color counts.  apex[v][u] is the bitset of the w with a
-    row (v, u, w), a binary row (i, j) acting as (i, i, j); an entry with a
-    single w is the shared bits[w].
+    higher degree, then first" is the lowest set bit of a mask made from the
+    count planes.  apex[v][u] is the bitset of the w with a row (v, u, w), a
+    binary row (i, j) acting as (i, i, j); an entry with a single w is the
+    shared bits[w].
 
     The partial coloring is `color`; D[c], the bitset of the variables whose
-    domain still holds c; U, that of the uncolored ones; and members[c], the
-    variables colored c, last colored last.  Coloring v with c takes from D[c]
-    the uncolored variables in the OR of apex[v][v] and of apex[v][u] for the
-    members u of c; one then left in no D has a wiped-out domain.
+    domain still holds c; U, that of the uncolored ones; members[c], the
+    variables colored c, last colored last; and `planes`, each variable's
+    count of colors under the cap min(K, largest color used + 2) in binary:
+    bit b of v's count is bit v of planes[b], three planes or more.  Coloring
+    v with c takes from D[c] the uncolored variables in the OR of apex[v][v]
+    and of apex[v][u] for the members u of c; one that had one color left
+    has a wiped-out domain.
 
     The unit is `stack`, its frames [variable, untried color bits, the
     largest color used above it, D[color] before its color was set, the
-    color bits the frame started with]; `script`, frames still to push, last
+    untried color bits it was pushed with, then the planes it started from:
+    p0, p1, p2, the list of higher planes, and their OR above p0, the
+    variables with two colors or more]; `script`, frames still to push, last
     first; `nodes`, the nodes counted; and `records`, one (nodes, depth) pair
     for each new maximum depth.  The frames below the unit's base have no
     untried colors, so the unit ends when its stack empties.
@@ -299,6 +290,8 @@ class _Search:
         self.members = [[] for _ in range(k)]
         self.D = [(1 << n) - 1] * k  # D[c]: the variables whose domain holds c
         self.U = (1 << n) - 1        # the uncolored variables
+        # every variable holds color 0 alone under the cap min(K, 1)
+        self.planes = [self.U if k else 0, 0, 0]
         self.script = [(v, untried) for v, _, untried in frames[-1:]]
         self.script += [(v, untried | 1 << c) for v, c, untried in reversed(frames[:-1])]
         self.stack, self.records, self.nodes = [], [], min(0, 1 - len(frames))
@@ -311,10 +304,22 @@ class _Search:
         `limit` + 1, or whatever `check(nodes)` returns: it is called each
         time CHECK_EVERY more nodes have been counted, at the next point where
         every frame is colored, and a unit it stops can be run on.
+
+        The planes live in locals p0, p1, p2 and `high` while it runs.
+        Coloring v with c subtracts 1 from the variables it takes out of D[c]
+        (a borrow chain), and a new largest color c brings c + 1, whose D is
+        full, under the cap, which adds 1 to every variable (a carry chain);
+        undo restores the planes the frame saved.  A variable with one color
+        left, the first D[c] that holds it, is colored where it is chosen, and
+        its frame is pushed with no untried colors; one with more goes through
+        the loop that tries a frame's next color, and both share one copy of
+        forward checking.
         """
         n, K, apex, bits = self.n, self.K, self.apex, self.bits
         color, members, D, U = self.color, self.members, self.D, self.U
+        p0, p1, p2, *high = self.planes
         stack, script, records, nodes = self.stack, self.script, self.records, self.nodes
+        k, full = len(D), (1 << n) - 1
         max_depth = records[-1][1] if records else 0
         # the largest color used on this branch: a color may be at most one more
         max_used = max(stack[-1][2], color[stack[-1][0]]) if stack else -1
@@ -333,58 +338,63 @@ class _Search:
                 end = check(nodes)
                 if end is not None:
                     break
+            more = p1 | p2  # the variables with two or more colors under the cap
+            for plane in high:
+                more |= plane
+            c = -1  # the color to try; -1 takes the top frame's next untried one
             if script:
                 v, untried = script.pop()
             else:
-                Dcap = D if max_used + 2 >= K else D[:max_used + 2]  # the colors under the cap
                 # the most constrained variable, ties to the higher degree: the
                 # lowest bit of the uncolored variables with the fewest colors
                 # under the cap.  Every one has some: below K, color max_used + 1
                 # has no member on the branch, so its D is full, and at K the
                 # wipe-out check after each coloring left a color to every
                 # variable that coloring touched
-                ge1 = ge2 = 0
-                for d in Dcap:
-                    ge2 |= ge1 & d
-                    ge1 |= d
-                cand = one = U & ~ge2  # one color left: most choices end here
-                if not one:
-                    ge1 = ge2 = ge3 = 0
-                    for d in Dcap:
-                        ge3 |= ge2 & d
-                        ge2 |= ge1 & d
-                        ge1 |= d
-                    cand = U & ~ge3 or _fewest_colors(Dcap, U)
-                v = (cand & -cand).bit_length() - 1
-                bit = bits[v]
-                untried, cbit = 0, 1
-                for d in Dcap:
-                    if d & bit:
-                        untried |= cbit
-                        if one:
-                            break
-                    cbit <<= 1
-            stack.append([v, untried, max_used, 0, untried])
-            # undo the top frame's color and give it the next one that survives
-            # forward checking; pop frames that run out of colors
+                cand = U & ~more
+                if cand:  # one color left, as in most choices: it is colored here
+                    v = (cand & -cand).bit_length() - 1
+                    bit = bits[v]
+                    c = 0
+                    while not D[c] & bit:
+                        c += 1
+                    untried = 0
+                else:
+                    cand = U  # the lexicographic minimum of the counts, top plane first
+                    for plane in (*reversed(high), p2, p1, p0):
+                        if cand & ~plane:
+                            cand &= ~plane
+                    v = (cand & -cand).bit_length() - 1
+                    bit = bits[v]
+                    untried, cbit = 0, 1
+                    for d in (D if max_used + 2 >= K else D[:max_used + 2]):  # the colors under the cap
+                        if d & bit:
+                            untried |= cbit
+                        cbit <<= 1
+            stack.append([v, untried, max_used, 0, untried, p0, p1, p2, high, more])
+            above = max_used
+            # color the top frame: with c, or else, after undoing its color,
+            # with its next untried one; pop frames that run out of colors
             while stack:
                 frame = stack[-1]
-                v, untried, above, saved, _ = frame
-                c = color[v]
-                if c >= 0:
-                    color[v] = -1
-                    U |= bits[v]
-                    D[c] = saved
-                    members[c].pop()
-                if not untried:
-                    stack.pop()
-                    continue
+                if c < 0:
+                    v, untried, above, saved, _, p0, p1, p2, high, more = frame
+                    c = color[v]
+                    if c >= 0:
+                        color[v] = -1
+                        U |= bits[v]
+                        D[c] = saved
+                        members[c].pop()
+                    if not untried:
+                        stack.pop()
+                        c = -1
+                        continue
+                    bit = untried & -untried
+                    c = bit.bit_length() - 1
+                    frame[1] = untried ^ bit
                 if nodes >= limit:
                     end = CUT
                     break
-                bit = untried & -untried
-                c = bit.bit_length() - 1
-                frame[1] = untried ^ bit
                 frame[3] = Dc = D[c]
                 nodes += 1
                 color[v] = c
@@ -397,17 +407,53 @@ class _Search:
                     forced |= av[u]
                 mc.append(v)
                 gone = forced & Dc & U
-                D[c] = Dc ^ gone
-                for d in D:  # drop the variables that still hold a color; any left are wiped out
-                    if not gone:
-                        break
-                    gone &= ~d
-                if not gone:
-                    max_used = c if c > above else above
+                if gone:
+                    # a variable of gone had one color left, unless c + 1 comes under the cap
+                    if gone & ~more and (c <= above or c + 1 == k):
+                        c = -1
+                        continue
+                    D[c] = Dc ^ gone
+                    p0 ^= gone  # less 1: a borrow goes on where a bit turned from 0 to 1
+                    borrow = gone & p0
+                    if borrow:
+                        p1 ^= borrow
+                        borrow &= p1
+                        if borrow:
+                            p2 ^= borrow
+                            borrow &= p2
+                            if borrow:
+                                high = high[:]  # frames hold the old list
+                                for i, plane in enumerate(high):
+                                    high[i] = plane = plane ^ borrow
+                                    borrow &= plane
+                                    if not borrow:
+                                        break
+                if c <= above:
+                    max_used = above
                     break  # consistent: pick the next variable
+                max_used = c
+                if c + 1 < k:  # color c + 1 comes under the cap, and its D is full
+                    carry = p0  # plus 1: a carry goes on where a bit turned from 1 to 0
+                    p0 ^= full
+                    if carry:
+                        p1 ^= carry
+                        carry &= ~p1
+                        if carry:
+                            p2 ^= carry
+                            carry &= ~p2
+                            if carry:
+                                high = high[:]
+                                for i, plane in enumerate(high):
+                                    high[i] = plane ^ carry
+                                    carry &= plane
+                                    if not carry:
+                                        break
+                                else:
+                                    high.append(carry)
+                break
             else:
                 end = EXHAUSTED
-        self.U, self.nodes = U, nodes
+        self.U, self.planes, self.nodes = U, [p0, p1, p2, *high], nodes
         return end, nodes, records, color[:] if end == SAT else None
 
     def donate(self) -> Optional[list[tuple[int, int, int]]]:

@@ -113,7 +113,7 @@ def test_solve_unsat(capsys):
 def test_solve_stats_line(capsys):
     code, out, _ = run(capsys, "solve", "--n", "4", "--colors", "3")
     assert code == 0
-    assert re.match(r"c nodes 10 elapsed \d+\.\d{3}s build \d+\.\d{3}s depth 10\n", out)
+    assert re.match(r"c nodes 10 elapsed \d+\.\d{3}s build \d+\.\d{3}s depth 10 verify \d+\.\d{3}s\n", out)
 
 
 def test_solve_unknown_exit(capsys):
@@ -135,7 +135,7 @@ def test_zero_node_budget_unknown(capsys, argv):
 def test_solve_external_stats(capsys):
     code, out, _ = run(capsys, "solve", "--n", "6", "--colors", "3", "--sat-cmd", SATSTUB)
     assert code == 0
-    m = re.match(r"c nodes 0 elapsed (\d+\.\d{3})s build (\d+\.\d{3})s depth 0\n", out)
+    m = re.match(r"c nodes 0 elapsed (\d+\.\d{3})s build (\d+\.\d{3})s depth 0 verify \d+\.\d{3}s\n", out)
     assert m and float(m[1]) > 0
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import os
-import random
 import shlex
 import signal
 import subprocess
@@ -10,6 +9,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trilat import solver
@@ -20,7 +20,6 @@ from trilat.solver import (
     UNKNOWN,
     UNSAT,
     Budget,
-    _fewest_colors,
     _Search,
     compute_f,
     constraints,
@@ -98,8 +97,11 @@ STRIPE_S6_K3_DEPTHS = [2, 5, 8, 10, 16, 18, 21, 24, 27, 28, 31, 32]
     (lambda: solve_periodic_stripe(6, 4, 4), SAT, 787, 24, "666eaa66c7f704bc"),
     (lambda: decide_k_colorable(TriangleRegion(45), 23), SAT, 1035, 1035, "c35e91da94c28940"),
     (lambda: decide_k_colorable(TriangleRegion(12), 4, Budget(max_nodes=77)), UNKNOWN, 77, 42, None),
+    (lambda: decide_k_colorable(TriangleRegion(34), 9), SAT, 3449, 595, "c55e567a3c051724"),
+    (lambda: solve_periodic_stripe(16, 16, 9), SAT, 262, 256, "a52ea159f25cc9ca"),
+    (lambda: decide_k_colorable(TriangleRegion(29), 8, Budget(max_nodes=2000)), UNKNOWN, 2000, 311, None),
 ], ids=["T9k3", "T10k3", "T11k3", *[f"S6p{p}k3" for p in range(1, 13)], "T12k4", "T9k3-budget5",
-        "T16k5", "S6p4k4", "T45k23", "T12k4-budget77"])
+        "T16k5", "S6p4k4", "T45k23", "T12k4-budget77", "T34k9", "S16p16k9", "T29k8-budget2000"])
 def test_search_order_pinned(solve, status, nodes, max_depth, sha):
     """Status, node count, max_depth and SAT certificate (sha256 prefix) of
     the exact search: any change to the variable or color order, the pruning,
@@ -146,14 +148,40 @@ def test_apex_table_matches_rows(region):
     assert all(a is bits[a.bit_length() - 1] for a in singles)
 
 
-def test_fewest_colors_matches_popcount():
-    rng = random.Random(5)
-    for _ in range(200):
-        ds = [rng.getrandbits(40) for _ in range(rng.randrange(1, 12))]
-        cand = rng.getrandbits(40) | 1
-        counts = {v: sum(d >> v & 1 for d in ds) for v in range(40) if cand >> v & 1}
-        low = min(counts.values())
-        assert _fewest_colors(ds, cand) == sum(1 << v for v, k in counts.items() if k == low)
+def _bit_array(x, n):
+    """Bit v of the int x at index v, for v < n."""
+    return np.unpackbits(np.frombuffer(x.to_bytes(n // 8 + 1, "little"), np.uint8),
+                         bitorder="little")[:n].astype(np.int64)
+
+
+def test_count_planes_match_popcount(monkeypatch):
+    """The search's bit-planes hold, at every node, each variable's count of
+    colors under the cap min(K, largest color used + 2): bit b of the count
+    of v is bit v of planes[b].  Counts from 8 on, under K >= 8, need a
+    fourth plane."""
+    monkeypatch.setattr(solver, "CHECK_EVERY", 1)
+    pauses = deep = 0
+    for region, K, limit in [
+            *[(TriangleRegion(n), k, sys.maxsize) for n in range(1, 13) for k in range(1, 6)],
+            *[(PeriodicStripe(rows, p), k, sys.maxsize) for rows in (2, 3, 4, 6)
+              for p in (1, 2, 3, 4, 5, 8) for k in (2, 3, 4)],
+            (StripeWindow(3, -4, 2), 2, sys.maxsize), (StripeWindow(4, -3, 6), 3, sys.maxsize),
+            (StripeWindow(6, 0, 5), 3, sys.maxsize),
+            *[(TriangleRegion(n), k, 3000) for n in (24, 29, 34) for k in range(8, 13)],
+            (TriangleRegion(6), 10 ** 20, sys.maxsize)]:
+        search = _Search(region, K)
+        n = search.n
+        while True:
+            used = [c for c in search.color if c >= 0]
+            under = search.D[:min(K, max(used, default=-1) + 2)]
+            counts = sum((_bit_array(d, n) for d in under), np.zeros(n, np.int64))
+            held = sum(_bit_array(plane, n) << b for b, plane in enumerate(search.planes))
+            assert (held == counts).all()
+            if search.run(limit, lambda nodes: solver.PAUSED)[0] != solver.PAUSED:
+                break
+            pauses += 1
+            deep += len(search.planes) > 3
+    assert pauses > 50000 and deep > 5000
 
 
 def test_solve_stats_phases():
@@ -528,8 +556,9 @@ def _no_children_left():
     (TriangleRegion(16), 5, None, SAT, 39731, 136, "c330a717aa8a8f5d"),
     (PeriodicStripe(6, 12), 3, 20000, UNKNOWN, 20000, 32, None),
     (PeriodicStripe(6, 12), 3, 25144, UNSAT, 25144, 32, None),  # ends exactly at the budget
+    (TriangleRegion(29), 8, None, SAT, 64356, 435, "098b02ce45ecbcb4"),
 ], ids=[*[f"T13k4-budget{b}" for b in (5000, 20000, 50000, 100000)], "T16k5-budget39730",
-        "T16k5", "S6p12k3-budget20000", "S6p12k3-budget25144"])
+        "T16k5", "S6p12k3-budget20000", "S6p12k3-budget25144", "T29k8"])
 def test_split_search_pinned(monkeypatch, cpus, region, k, max_nodes, status, nodes, max_depth, sha):
     """Searches long enough to be split across processes: status, nodes,
     max_depth and certificate equal the one-process search's, with every CPU
