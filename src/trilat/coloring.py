@@ -96,6 +96,19 @@ before a row's first value is the previous row's last literal, the separator
 and the row's first literal.  Every unused byte of the layout is 0, so one
 pass that drops the 0 bytes leaves the text.  The table is built on first use
 (`functools.cache`), so importing the module does no work.
+
+A certificate body as `write_certificate` writes it for non-negative values
+is read by one strict scan of its bytes.  The grammar: every line is D " " D
+" " D "\n", where D is "0" or a digit 1-9 followed by at most 17 digits, and
+the body ends in a newline.  The scan takes 256 KB of text at a time, each
+chunk cut after a newline, into one (N, 3) int64 array, N the body's newline
+count.  The bytes that are not digits are the separators: every third must be
+a newline and the others spaces, with no empty value and no leading zero
+between them; each value is then built from its digits right to left, one
+gather per digit place.  With at most 18 digits every value is below 10**18 <
+2**61, the magnitude the per-line parser clamps values to, so the scan reads
+no value that parser would clamp, and a + b cannot wrap in int64.  Any other
+body goes to the per-line parser, which alone defines what is accepted.
 """
 
 from __future__ import annotations
@@ -104,7 +117,6 @@ import os
 import re
 import signal
 import threading
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -591,42 +603,80 @@ def _point_rows(lines: list[str]) -> tuple[np.ndarray, Optional[str]]:
     return np.array(values, dtype=np.int64).reshape(-1, 3), malformed
 
 
+# a canonical body is scanned in chunks of this many bytes, each cut after a newline
+_READ_CHUNK = 1 << 18
+# the most digits of a value in a canonical body: below 10**18 < 2**61 = _CLAMP,
+# so no value the scan reads is clamped and a + b cannot wrap
+_MAX_DIGITS = 18
+
+
 def _canonical_rows(body: str) -> Optional[np.ndarray]:
     """The (a, b, color) rows of a body exactly as `write_certificate` writes
-    it, by one numpy parse checked by formatting the rows back; None for any
-    other body, and for values the per-line parser would clamp."""
-    with warnings.catch_warnings():
-        # numpy 1.x warns on text it cannot parse and returns a prefix
-        warnings.simplefilter("ignore", DeprecationWarning)
-        try:
-            values = np.fromstring(body, dtype=np.int64, sep=" ")
-        except ValueError:  # numpy 2 raises instead
-            return None
-    if values.size % 3 or values.min(initial=0) < -_CLAMP or values.max(initial=0) > _CLAMP:
+    it for non-negative values of at most 18 digits, by one strict scan of its
+    bytes (module docstring); None for any other body."""
+    if not body.isascii() or not body.endswith("\n"):
+        return None if body else np.empty((0, 3), dtype=np.int64)
+    lines = body.count("\n")
+    if len(body) < 6 * lines:  # shorter than "0 0 0\n" a line: blank lines at least
         return None
-    rows = values.reshape(-1, 3)
-    end = 0
-    for chunk in format_chunks(_POINT_LINE, rows):
-        if not body.startswith(chunk, end):
+    rows = np.empty((lines, 3), dtype=np.int64)
+    values = rows.reshape(-1)
+    start = done = 0
+    while start < len(body):
+        end = body.find("\n", start + _READ_CHUNK - 1) + 1 or len(body)
+        text = np.frombuffer(body[start:end].encode("ascii"), dtype=np.uint8)
+        start = end
+        digit = text - np.uint8(ord("0"))  # bytes below '0' wrap round past 9
+        other = digit > 9
+        sep = np.flatnonzero(other)
+        m = sep.size
+        # " ", " ", "\n" per line: every third separator is a newline, and the
+        # chunk holds as many spaces as the other separators
+        if (m % 3 or np.count_nonzero(text == ord(" ")) != m // 3 * 2
+                or not (text.take(sep[2::3]) == ord("\n")).all()):
             return None
-        end += len(chunk)
-    return rows if end == len(body) else None
+        prev = np.empty_like(sep)  # the separator before each value; -1 reads the final newline
+        prev[0] = -1
+        prev[1:] = sep[:-1]
+        at = sep - prev  # each value's digits, plus 1
+        places = int(at.max()) - 1
+        if at.min() < 2 or places > _MAX_DIGITS:
+            return None
+        # a leading zero: a 0 at a line's start or after a space, then a digit
+        lead = digit[:-1] == 0
+        lead[1:] &= other[:-2]
+        lead &= digit[1:] <= 9
+        if lead.any():
+            return None
+        # each value from its digits right to left, one gather per digit place;
+        # a place left of a value's first digit reads the separator before it, as 0
+        digit[sep] = 0
+        out = values[done:done + m]
+        done += m
+        np.subtract(sep, 1, out=at)
+        out[:] = digit.take(at)
+        for place in range(1, places):
+            at -= 1
+            np.maximum(at, prev, out=at)
+            out += np.multiply(digit.take(at), 10 ** place, dtype=np.int64)
+    return rows
 
 
 def read_certificate(text: str) -> Coloring:
     """The coloring a certificate describes; CertificateError names its first fault.
 
     A body (the text after the three header lines) exactly as
-    `write_certificate` writes it, one `%d %d %d\n` line per point and nothing
-    else, is read by one numpy parse, kept only if formatting the parsed rows
-    back gives the body byte for byte.  Then every line of the body is the
-    canonical decimal form of its row, which `str.split` and `int` read back
-    as that row, so the per-line parser would have read the same rows and no
-    malformed line: both paths give the same coloring or the same error.
-    Numpy's reading of the text does not matter, since only the round trip
-    decides.  Any other body (comments, blank lines, CRLF, `+5`, `1_0`, no
-    final newline, a value beyond int64 or past the +-2**61 clamp) goes to the
-    per-line parser, which alone defines what is accepted.
+    `write_certificate` writes it for non-negative values, and nothing else, is
+    read by one strict scan of its bytes (module docstring): every line is
+    three values and two single spaces, ended by a newline, each value "0" or
+    at most 18 digits with no leading zero.  Such a line is the canonical
+    decimal form of its row, which `str.split` and `int` read back as that row,
+    and its values are below 10**18 < 2**61, so none is clamped: the per-line
+    parser would read the same rows and no malformed line, and both paths give
+    the same coloring or the same error.  Any other body (comments, blank
+    lines, CRLF, tabs, a sign, leading zeros, 19 digits or more, non-ASCII
+    text, no final newline) goes to the per-line parser, which alone defines
+    what is accepted.
 
     When the rows' points are the region's points in rank order (its
     `point_arrays`, as `write_certificate` lists them), none can be outside

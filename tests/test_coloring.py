@@ -3,12 +3,12 @@ import gc
 import itertools
 import os
 import random
+import re
 import signal
 import sys
 import threading
 import tracemalloc
 import weakref
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -470,7 +470,7 @@ STRICT = "\n# strict\n"
 
 def read_both(text):
     """What read_certificate makes of `text`, checked to be the same on the
-    numpy path and the per-line path: (region, num_colors, colors) or the
+    strict scan and the per-line path: (region, num_colors, colors) or the
     error message."""
     results = []
     for t in (text, text + STRICT):
@@ -577,39 +577,90 @@ def test_parse_paths_agree_on_bad_rows():
 
 
 def test_canonical_body_skips_line_parser(monkeypatch):
-    texts = [write_certificate(Coloring(region, [(p.a + 2 * p.b) % 5 for p in points(region)], 5))
-             for region in [TriangleRegion(30), PeriodicStripe(6, 7)]]
-    expected = [read_certificate(text) for text in texts]
+    """A canonical body is read by the strict scan alone, also across the
+    chunks of a body longer than one; a one-byte fault on either side of a
+    chunk cut sends it to the per-line parser, which names the line."""
+    colorings = []
+    for region in [TriangleRegion(30), PeriodicStripe(6, 7), TriangleRegion(300)]:
+        a, b = region.point_arrays()
+        colorings.append(Coloring(region, (a + 2 * b) % 5, 5))
+    texts = [write_certificate(c) for c in colorings]
+    calls = []
+    real = coloring._point_rows
 
-    def refuse(lines):
-        raise AssertionError("the per-line parser ran on a canonical body")
+    def spy(lines):
+        calls.append(len(lines))
+        return real(lines)
 
-    monkeypatch.setattr(coloring, "_point_rows", refuse)
-    for text, c in zip(texts, expected):
+    monkeypatch.setattr(coloring, "_point_rows", spy)
+    for text, c in zip(texts, colorings):
         back = read_certificate(text)
         assert (back.region, back.num_colors) == (c.region, c.num_colors)
         assert (back.colors == c.colors).all()
         # CRLF header lines in front of a canonical body
         assert (read_certificate(text.replace("\n", "\r\n", 3)).colors == c.colors).all()
-    with pytest.raises(AssertionError, match="per-line parser"):
-        read_certificate(texts[0] + "# a comment\n")
+    assert not calls
+    read_certificate(texts[0] + "# a comment\n")
+    assert calls
+
+    # T300: the body is cut after the first newline from _READ_CHUNK bytes on
+    body = coloring._split_header(texts[2])[1]
+    head = texts[2][:-len(body)]
+    cut = body.find("\n", coloring._READ_CHUNK - 1) + 1
+    assert 0 < cut < len(body)
+    last = body[body.rfind("\n", 0, cut - 1) + 1:cut - 1]  # the first chunk's last line
+    first = body[cut:body.find("\n", cut)]  # the next chunk's first line
+    for faulty, line in [
+            (body[:cut - 2] + "x" + body[cut - 1:], last[:-1] + "x"),
+            (body[:cut] + "x" + body[cut + 1:], "x" + first[1:]),
+            (body[:cut - 1] + " " + body[cut:], f"{last} {first}")]:
+        calls.clear()
+        with pytest.raises(CertificateError, match=re.escape(f"bad point line: {line!r}")):
+            read_certificate(head + faulty)
+        assert calls
+        read_both(head + faulty)
 
 
-def test_parsed_prefix_is_not_a_body(monkeypatch):
-    """numpy 1.x warns and returns the values in front of text it cannot
-    parse; such a prefix must not pass for the whole body."""
-    real = np.fromstring
+# a canonical body: `write_certificate`'s lines for values below 10**18, no sign
+VALUE = "(?:0|[1-9][0-9]{0,17})"
+CANONICAL = re.compile(f"(?:{VALUE} {VALUE} {VALUE}\n)*")
 
-    def prefix_only(text, dtype, sep):
-        if "#" in text:
-            warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return real(text.split("#")[0], dtype=dtype, sep=sep)
 
-    monkeypatch.setattr(coloring.np, "fromstring", prefix_only)
-    text = write_certificate(Coloring(TriangleRegion(4), [p.b % 3 for p in points(TriangleRegion(4))], 3))
-    with pytest.raises(CertificateError, match="outside region: '9 9 0'"):
-        read_certificate(text + "# note\n9 9 0\n")
-    assert read_certificate(text + "# note\n").colors.tolist() == read_certificate(text).colors.tolist()
+def test_strict_scan_takes_the_canonical_grammar():
+    """Every one-byte insert, replace and delete at every position of a small
+    certificate, and rows at the value limits: the strict scan takes a body
+    exactly when it is canonical, and both parsers read each text alike."""
+    region = TriangleRegion(3)
+    # one- and two-digit colors, so a line can lose a byte and the body still be long enough
+    text = write_certificate(Coloring(region, [(7 * p.a + 5 * p.b) % 13 for p in points(region)], 13))
+    alphabet = [*"0123456789", " ", "\n", "\r", "\t", "-", "+", "#", "\0", "\u00e9"]
+    texts = [text[:i] + ch + text[i + skip:] for ch in alphabet for skip in (0, 1)
+             for i in range(len(text) + 1 - skip)]
+    texts += [text[:i] + text[i + 1:] for i in range(len(text))]
+    lines = text.splitlines(keepends=True)
+    for value in [10 ** 18 - 1, 10 ** 18, 2 ** 61, 2 ** 61 + 1, "00", "-0", "-1"]:
+        for r in range(3, len(lines)):
+            for k in range(3):
+                row = lines[r].split()
+                row[k] = str(value)
+                texts.append("".join(lines[:r] + [" ".join(row) + "\n"] + lines[r + 1:]))
+    taken = 0
+    for t in texts:
+        read_both(t)
+        body = coloring._split_header(t)[1]
+        rows = coloring._canonical_rows(body)
+        assert (rows is not None) == bool(CANONICAL.fullmatch(body)), repr(t)
+        taken += rows is not None
+    assert 0 < taken < len(texts)
+    # a body shorter than "0 0 0\n" a line is refused before its rows are laid out
+    blank = "\n" * 10 ** 6
+    tracemalloc.start()
+    try:
+        assert coloring._canonical_rows(blank) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 @pytest.mark.parametrize("end", ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",

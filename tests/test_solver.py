@@ -158,9 +158,9 @@ def test_count_planes_match_popcount(monkeypatch):
     """The search's bit-planes hold, at every node, each variable's count of
     colors under the cap min(K, largest color used + 2): bit b of the count
     of v is bit v of planes[b].  Counts from 8 on, under K >= 8, need a
-    fourth plane."""
+    fourth plane, and counts from 16 on a fifth."""
     monkeypatch.setattr(solver, "CHECK_EVERY", 1)
-    pauses = deep = 0
+    pauses = deep = deeper = 0
     for region, K, limit in [
             *[(TriangleRegion(n), k, sys.maxsize) for n in range(1, 13) for k in range(1, 6)],
             *[(PeriodicStripe(rows, p), k, sys.maxsize) for rows in (2, 3, 4, 6)
@@ -168,6 +168,9 @@ def test_count_planes_match_popcount(monkeypatch):
             (StripeWindow(3, -4, 2), 2, sys.maxsize), (StripeWindow(4, -3, 6), 3, sys.maxsize),
             (StripeWindow(6, 0, 5), 3, sys.maxsize),
             *[(TriangleRegion(n), k, 3000) for n in (24, 29, 34) for k in range(8, 13)],
+            # 16..18 rows, one color more: a fifth plane, so a carry past the fourth
+            *[(PeriodicStripe(rows, p), rows + 1, sys.maxsize) for rows in (16, 17, 18)
+              for p in (1, 2, 3)],
             (TriangleRegion(6), 10 ** 20, sys.maxsize)]:
         search = _Search(region, K)
         n = search.n
@@ -181,7 +184,8 @@ def test_count_planes_match_popcount(monkeypatch):
                 break
             pauses += 1
             deep += len(search.planes) > 3
-    assert pauses > 50000 and deep > 5000
+            deeper += len(search.planes) > 4
+    assert pauses > 50000 and deep > 5000 and deeper > 0
 
 
 def test_solve_stats_phases():
