@@ -64,22 +64,11 @@ window's members find every monochromatic triangle.  A witness's apex can be
 a tiled cell outside the window, so the witness's class is scanned over all
 its pairs.
 
-The scan works in units: a run of rows of about 2**16 probes (a row is one
-member p with its band), under 1 MB of temporaries.  Rows come in class
-order, so the earliest unit with a hit holds the first hit.  A scan of 2**21
-probes or more runs on one thread per usable CPU (`usable_cpus`), the
-caller's among them; below that (banded T600 among them), and on one CPU,
-the caller runs the same loop over the same units alone.  Each thread takes
-the next unit from a shared counter.  A unit k with a hit lowers a shared
-bound to k, and no thread takes a unit at or past the bound, while every
-unit before it is still scanned: the reported pair is the one-thread scan's.
-An exception in a unit, or one raised in the caller while it waits
-(KeyboardInterrupt, a signal handler's), sets the bound to 0, so each thread
-stops after its current unit; every thread is joined before the call
-returns or raises, and the first exception is raised in the caller.  The
-checker uses threads where the exact search forks processes because numpy's
-take, add, == and any release the GIL and every thread reads the one grid
-without a copy, while the search is pure Python, which holds the GIL.
+The scan runs on one thread, in units: a run of rows of about 2**16 probes
+(a row is one member p with its band), under 1 MB of temporaries, each cut
+and sliced from the band arrays when the scan reaches it.  Rows come in class
+order, so the scan stops at the first unit with a hit, which holds the first
+hit.
 
 Certificate and DIMACS text.  Certificates, DIMACS clause blocks and `trilat
 enumerate` are written by one function, `format_chunks`, from a template such
@@ -113,10 +102,7 @@ body goes to the per-line parser, which alone defines what is accepted.
 
 from __future__ import annotations
 
-import os
 import re
-import signal
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -189,18 +175,6 @@ def color_count(c: Coloring) -> int:
 
 # pair probes per unit of the scan (module docstring): under 1 MB of temporaries
 _UNIT = 1 << 16
-# a scan of fewer probes runs on the calling thread alone; every check of the
-# exact search and of the committed certificates, and banded T600, stay below this
-_THREAD_PROBES = 1 << 21
-MAX_WORKERS = 4
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on, up to MAX_WORKERS: the number of
-    checker threads and of exact-search processes."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
 
 
 def _unit_hit(grid: np.ndarray, terms: np.ndarray, unit: tuple) -> Optional[tuple[int, int]]:
@@ -221,90 +195,22 @@ def _unit_hit(grid: np.ndarray, terms: np.ndarray, unit: tuple) -> Optional[tupl
     return int(rows[np.searchsorted(ends, k, side="right")]), int(cols[k])
 
 
-def _first_hit(units: list, hit_of, workers: int) -> Optional[tuple[int, int]]:
-    """The hit of the earliest unit that has one, scanned by `workers` threads,
-    the caller's among them (module docstring)."""
-    lock, left = threading.Lock(), threading.Semaphore(0)
-    taken, bound, hits, errors = 0, len(units), {}, []
-
-    def lower(k):
-        nonlocal bound
-        with lock:
-            bound = min(bound, k)
-
-    def work():
-        nonlocal taken
-        try:
-            while True:
-                with lock:
-                    k, taken = taken, taken + 1
-                    if k >= bound:
-                        return
-                found = hit_of(units[k])
-                if found is not None:
-                    hits[k] = found
-                    lower(k)
-        except BaseException as e:  # raised by the caller once every thread has left
-            errors.append(e)
-            lower(0)
-
-    def run():
-        try:
-            work()
-        finally:
-            left.release()
-
-    threads = []
-    if workers > 1:
-        # threads start with every signal blocked: a handler runs on the caller's
-        # thread alone, and never while a start is half done
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        try:
-            for _ in range(workers - 1):
-                threads.append(threading.Thread(target=run))
-                threads[-1].start()
-        except RuntimeError:  # no more threads: the others scan on
-            threads.pop()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    try:
-        work()
-    except BaseException:  # raised outside a unit
-        lower(0)
-        raise
-    finally:
-        # a Thread.join cut short by an exception can take a running thread for a
-        # stopped one, so the threads are waited for on `left` first
-        for _ in threads:
-            while True:
-                try:
-                    left.acquire()
-                    break
-                except BaseException as e:  # KeyboardInterrupt, a signal handler's exception
-                    errors.append(e)
-                    lower(0)
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-    return hits.get(bound)
-
-
 def _scan(grid: np.ndarray, terms: np.ndarray, rows: np.ndarray, first: np.ndarray,
           count: np.ndarray, color: np.ndarray) -> Optional[tuple[int, int]]:
     """The first hit of `_unit_hit` over the rows in order, each with its
-    columns first..first + count - 1 (count >= 0) and its color: units of
-    about `_UNIT` probes, on `usable_cpus()` threads from `_THREAD_PROBES`
-    probes on."""
+    columns first..first + count - 1 (count >= 0) and its color, in units of
+    about `_UNIT` probes, each sliced as it is reached."""
     ends = np.cumsum(count, dtype=np.int64)
-    probes = int(ends[-1])
-    # a unit ends after the row whose probes reach the next multiple of _UNIT
-    cuts = dict.fromkeys((np.searchsorted(ends, np.arange(_UNIT, probes, _UNIT)) + 1).tolist())
-    del ends
-    cuts = [0, *(cut for cut in cuts if cut < rows.size), rows.size]
-    units = [(rows[i:j], first[i:j], count[i:j], color[i:j]) for i, j in zip(cuts, cuts[1:])]
-    return _first_hit(units, lambda unit: _unit_hit(grid, terms, unit),
-                      usable_cpus() if probes >= _THREAD_PROBES else 1)
+    probes, i = int(ends[-1]), 0
+    while i < rows.size:
+        # a unit ends after the row whose probes reach the next multiple of _UNIT
+        reach = (int(ends[i - 1]) if i else 0) // _UNIT * _UNIT + _UNIT
+        j = int(np.searchsorted(ends, reach)) + 1 if reach < probes else rows.size
+        found = _unit_hit(grid, terms, (rows[i:j], first[i:j], count[i:j], color[i:j]))
+        if found is not None:
+            return found
+        i = j
+    return None
 
 
 def _apex_terms(x: np.ndarray, y: np.ndarray, width: int, rise: int) -> np.ndarray:
@@ -376,7 +282,7 @@ def is_proper(c: Coloring) -> tuple[bool, Optional[EquilateralTriangle]]:
     - b_p) at +60 degrees and a_q + (b_q - b_p) at -60, are grid columns, and
     an apex row past either border row clips onto a sentinel cell of that
     border row.  Beside the grid, the scan holds a few arrays of one entry per
-    scanned point, and each thread the temporaries of one unit.
+    scanned point, and the temporaries of one unit.
     """
     region = c.region
     periodic = isinstance(region, PeriodicStripe)

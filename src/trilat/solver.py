@@ -29,8 +29,8 @@ frames below the unit's base have no untried colors left.  The one-process
 search is the unit that starts from the empty stack.  It runs alone for
 SPLIT_NODES nodes; if it has no verdict by then and the platform can fork
 onto at least two CPUs, it pauses, and the caller forks one worker per CPU
-that `coloring.usable_cpus` counts (up to 4).  Worker 0 runs on with the
-paused unit, and the caller coordinates:
+that `usable_cpus` counts (up to MAX_WORKERS = 4).  Worker 0 runs on with
+the paused unit, and the caller coordinates:
 
 - Stealing.  An idle worker waits while the worker of the earliest running
   unit, in depth-first order, is asked to donate; workers poll their pipe
@@ -86,7 +86,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coloring import Coloring, color_count, format_chunks, is_proper, usable_cpus
+from .coloring import Coloring, color_count, format_chunks, is_proper
 from .constructions import chevron_coloring
 from .lattice import LatticePoint, PeriodicStripe, Region, TriangleRegion, points
 from .triangles import triangle_ranks
@@ -107,9 +107,18 @@ MAX_SECONDS = ((1 << 31) - 1) // 1000
 # stays in one process.
 SPLIT_NODES = 4608
 CHECK_EVERY = 256  # nodes between deadline checks, and a worker's pipe polls
+MAX_WORKERS = 4
 
 # how a unit of the internal search ends, besides SAT
 EXHAUSTED, CUT, TIMED_OUT, PAUSED = "exhausted", "cut", "timed out", "paused"
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, up to MAX_WORKERS: the number of
+    exact-search processes."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
 
 
 @dataclass

@@ -1,12 +1,8 @@
 import ast
 import gc
 import itertools
-import os
 import random
 import re
-import signal
-import sys
-import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -221,32 +217,12 @@ def test_checker_agrees_on_drawn_colorings(data):
                                                          max_size=size)), k))
 
 
-def thread_every_scan(monkeypatch, cpus):
-    """Every scan takes the threaded path with one thread per CPU of `cpus`:
-    the probe threshold is 0, and units of 64 probes split even a small scan
-    into many units.  Returns the thread counts of the scans."""
-    monkeypatch.setattr(coloring, "_THREAD_PROBES", 0)
+def test_small_units_agree_with_oracles(monkeypatch):
+    """The oracle suites again, with units of 64 probes: even a small scan is
+    cut into many units, and the earliest unit with a hit must give the
+    witness."""
     monkeypatch.setattr(coloring, "_UNIT", 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    workers, first_hit = [], coloring._first_hit
-    monkeypatch.setattr(coloring, "_first_hit",
-                        lambda units, hit_of, w: workers.append(w) or first_hit(units, hit_of, w))
-    return workers
-
-
-@pytest.mark.parametrize("cpus", [4, 1])
-def test_threaded_scan_agrees_with_oracles(monkeypatch, cpus):
-    """The oracle suites again, every scan on `cpus` threads, switching between
-    threads as often as the interpreter allows: a lost update of the shared
-    counter or bound would skip a unit or misplace the witness."""
-    workers = thread_every_scan(monkeypatch, cpus)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        run_oracle_suites()
-    finally:
-        sys.setswitchinterval(interval)
-    assert set(workers) == {cpus}
+    run_oracle_suites()
 
 
 def run_oracle_suites():
@@ -262,76 +238,8 @@ def run_oracle_suites():
     test_checker_agrees_on_drawn_colorings()
 
 
-class Interrupted(Exception):
-    pass
-
-
-@pytest.mark.parametrize("way", ["proper", "improper", "caller raises", "worker raises",
-                                 "alarm in a unit", "alarm in the join", "a start fails"])
-def test_scan_threads_end_with_the_call(monkeypatch, way):
-    """No thread of a scan outlives it, however it ends; an exception in any
-    unit, or in the caller while it waits, reaches the caller and no thread's
-    excepthook."""
-    thread_every_scan(monkeypatch, 4)
-    c = chevron_coloring(60)
-    if way == "improper":  # the last point's color on a triangle at the top
-        colors = c.colors.copy()
-        colors[c.region.rank(np.array([0, 1, 0]), np.array([57, 57, 58]))] = colors[-1]
-        c = Coloring(c.region, colors, c.num_colors)
-    hooked, first, caller_in, worker_in = [], threading.Lock(), threading.Event(), threading.Event()
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    unit_hit = coloring._unit_hit
-
-    def unit(*args):
-        if threading.current_thread() is threading.main_thread():
-            caller_in.set()
-            if way == "caller raises":
-                raise MemoryError
-            if way == "alarm in a unit":
-                signal.raise_signal(signal.SIGALRM)
-            if way == "worker raises":
-                worker_in.wait(10)  # until a worker has raised
-        else:
-            if way == "worker raises":
-                worker_in.set()
-                raise MemoryError
-            if way in ("caller raises", "alarm in a unit"):
-                caller_in.wait(10)  # until the caller has taken a unit
-            if way == "alarm in the join" and first.acquire(blocking=False):
-                worker_in.wait(0.2)  # the caller runs out of units meanwhile
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGALRM)
-        return unit_hit(*args)
-
-    def alarm(signum, frame):
-        raise Interrupted
-
-    monkeypatch.setattr(coloring, "_unit_hit", unit)
-    if way == "a start fails":  # the second thread cannot start: the others scan on
-        start, starts = threading.Thread.start, []
-
-        def second_fails(thread):
-            starts.append(thread)
-            if len(starts) == 2:
-                raise RuntimeError("can't start new thread")
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", second_fails)
-    before = threading.active_count()
-    handler = signal.signal(signal.SIGALRM, alarm)
-    try:
-        if way in ("proper", "improper", "a start fails"):
-            assert is_proper(c) == is_proper_pairs(c)
-            assert is_proper(c)[0] == (way != "improper")
-        else:
-            with pytest.raises(Interrupted if way.startswith("alarm") else MemoryError):
-                is_proper(c)
-    finally:
-        signal.signal(signal.SIGALRM, handler)
-    assert threading.active_count() == before and not hooked
-
-
 # witnesses of copies of the banded T300 coloring with one seeded triangle
-# recolored (planted), from the one-thread scan, as `trilat verify` prints them
+# recolored (planted), as `trilat verify` prints them
 IMPROPER_T300_WITNESSES = [
     [(68, 134), (82, 135), (67, 149)], [(0, 42), (112, 42), (0, 154)],
     [(13, 8), (67, 9), (12, 63)], [(35, 4), (184, 6), (33, 155)],
@@ -343,8 +251,8 @@ IMPROPER_T300_WITNESSES = [
 
 
 def test_improper_banded_t300_witnesses_pinned(tmp_path, capsys):
-    """The witness on every CPU is the one-thread scan's: the banded T300 scan
-    has more probes than the thread threshold."""
+    """The witnesses of twelve improper copies of banded T300, each with one
+    planted triangle, are pinned."""
     base = banded_coloring(300, read_certificate((CERT_DIR / "s6_p4_k4.cert").read_text()), 6, 15,
                            verify=False)
     rng = random.Random("improper T300")
@@ -376,6 +284,24 @@ def count_probes(monkeypatch):
 
     monkeypatch.setattr(coloring, "_unit_hit", counted)
     return probes
+
+
+def test_improper_scan_stops_at_its_first_hit(monkeypatch):
+    """One-color T600's band scan has 6.8 billion probes (103,000 units) and
+    its witness pass 10.8 billion (165,000), each with a hit in its first
+    unit: each scans that unit alone, and cuts and slices no later one."""
+    region = TriangleRegion(600)
+    c = Coloring(region, np.zeros(region.size(), dtype=np.int64), 1)
+    probes = count_probes(monkeypatch)
+    tracemalloc.start()
+    try:
+        ok, witness = is_proper(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok and witness.vertices() == ((0, 0), (1, 0), (0, 1))
+    assert len(probes) == 2
+    assert peak < 40 * 2 ** 20
 
 
 @pytest.mark.parametrize("scheme", ["banded T300", "chevron T200"])
